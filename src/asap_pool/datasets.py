@@ -122,7 +122,7 @@ def load_tu_dataset(directory, name: str) -> Dataset:
     labels = np.array([label_of[int(v)] for v in raw_labels], dtype=np.int64)
 
     edges_path = Path(f"{prefix}_A.txt")
-    edge_pairs: list[tuple[int, int]] = []
+    edge_rows: list[tuple[int, int, int]] = []  # (line number, u, v), nodes 0-based
     for i, line in enumerate(_read_lines(edges_path)):
         if not line.strip():
             continue
@@ -135,10 +135,15 @@ def load_tu_dataset(directory, name: str) -> Dataset:
             raise TUFormatError(edges_path, i + 1, f"node id outside 1..{n_nodes}")
         if u == v:
             continue  # stray self loops are dropped
-        edge_pairs.append((u - 1, v - 1))
-    for u, v in edge_pairs:
-        if node_graph[u] != node_graph[v]:
-            raise TUFormatError(edges_path, 0, f"edge ({u + 1}, {v + 1}) crosses graphs")
+        edge_rows.append((i + 1, u - 1, v - 1))
+    edge_lines, heads, tails = np.array(edge_rows, dtype=np.int64).reshape(-1, 3).T
+    crossing = np.flatnonzero(node_graph[heads] != node_graph[tails])
+    if crossing.size:
+        k = crossing[0]
+        raise TUFormatError(
+            edges_path, int(edge_lines[k]), f"edge ({heads[k] + 1}, {tails[k] + 1}) crosses graphs"
+        )
+    edge_pairs = list(zip(heads.tolist(), tails.tolist()))
 
     features = _node_features(prefix, n_nodes, edge_pairs)
 

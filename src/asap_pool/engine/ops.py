@@ -247,16 +247,13 @@ def reduce_mean(x: Tensor) -> Tensor:
 def scatter_add_rows(n_rows: int, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Sum ``rows[k]`` into an ``n_rows``-row zero matrix at row ``indices[k]``.
 
-    Plain-numpy helper (not taped); duplicate indices accumulate.
+    Plain-numpy helper (not taped); duplicate indices accumulate. One flat
+    ``bincount`` over (row, column) slots does the whole scatter.
     """
-    out = np.zeros((n_rows, rows.shape[1]))
-    if indices.size == 0:
-        return out
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_idx)) + 1))
-    out[sorted_idx[starts]] = np.add.reduceat(rows[order], starts, axis=0)
-    return out
+    d = rows.shape[1]
+    slots = (np.asarray(indices, dtype=np.int64).reshape(-1, 1) * d + np.arange(d)).ravel()
+    summed = np.bincount(slots, weights=rows.ravel(), minlength=n_rows * d)
+    return summed.reshape(n_rows, d)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -328,8 +325,9 @@ def segment_reduce(kind: str, x: Tensor, segment_ids, n_segments: int | None = N
     """Per-segment ``sum``/``mean``/``max`` over rows of ``x``.
 
     Returns one row per segment. ``sum`` tolerates empty segments (zero rows);
-    ``mean`` and ``max`` reject them. ``max`` breaks ties toward the lowest
-    row index, which keeps its gradient routing deterministic.
+    ``mean`` and ``max`` reject them. ``max`` routes its gradient to the
+    lowest row index among tied maxima, which keeps it deterministic; that
+    tie-break is found in backward, so the forward pass only takes maxima.
     """
     if kind not in ("sum", "mean", "max"):
         raise ValueError(f"unknown segment_reduce kind {kind!r}")
@@ -340,17 +338,22 @@ def segment_reduce(kind: str, x: Tensor, segment_ids, n_segments: int | None = N
     if kind == "max":
         if np.any(counts == 0):
             raise EngineError("segment_reduce max over an empty segment")
-        maxes = np.maximum.reduceat(data, starts, axis=0)
-        # Argmax with lowest-index tie break: replace non-hits by n, take min.
-        hit = data == maxes[seg]
-        candidates = np.where(hit, np.arange(n)[:, None], n)
-        argmax = np.minimum.reduceat(candidates, starts, axis=0)
+        # Running max into flat (segment, column) slots: exact, so it equals
+        # a per-segment reduce bit for bit.
+        maxes = np.full(n_segments * d, -np.inf)
+        np.maximum.at(maxes, (seg[:, None] * d + np.arange(d)).ravel(), data.ravel())
+        maxes = maxes.reshape(n_segments, d)
         out = _out(maxes)
 
         def backward(grad, accumulate):
-            buf = np.zeros_like(data)
-            buf[argmax, np.arange(d)] = grad  # (row, col) pairs are unique
-            accumulate(x, buf)
+            # Route each slot's gradient to its lowest-index maximal row: for
+            # a fixed column, flat positions in ``data`` order rows.
+            hits = np.flatnonzero(data == maxes[seg])
+            first = np.full(n_segments * d, n * d)
+            np.minimum.at(first, seg[hits // d] * d + hits % d, hits)
+            buf = np.zeros(n * d)
+            buf[first] = grad.ravel()
+            accumulate(x, buf.reshape(n, d))
 
         record(out, (x,), backward)
         return out

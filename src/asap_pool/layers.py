@@ -14,7 +14,12 @@ dataclasses, so the same code runs per graph or on block-diagonal batches.
 * ``attention_scores`` — per-(cluster, member) logits for soft assignments,
   in three flavors: query-free (``S2T``), transformed-query against raw
   member representations (``T2T`` uses the cluster medoid's own
-  representation as query, ``M2T`` a pooled master vector).
+  representation as query, ``M2T`` a pooled master vector). The LeakyReLU
+  acts entry by entry, so ``w^T lrelu([W q_i ‖ x_j])`` splits into a
+  per-cluster term plus a per-member term (the split GAT uses to score
+  edges). Both terms are computed once per node and only two ``n x 1``
+  columns are gathered per pair, instead of building a ``pairs x 2d``
+  matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .engine import (
     SparseMatrix,
     Tensor,
     add,
-    concat_cols,
     gather_rows,
     hadamard,
     leaky_relu,
@@ -159,6 +163,12 @@ def attention_scores(
     * ``S2T``: ``w^T lrelu(W x_j)`` — the cluster plays no role in the score.
     * ``T2T``/``M2T``: ``w^T lrelu([W q_i ‖ x_j])`` with ``q`` the medoid
       representation (T2T) or the cluster's max-pooled master vector (M2T).
+
+    Every score term depends on one node only, so it is computed once per
+    node and gathered per pair: S2T gathers ``lrelu(W x)·w`` at ``j``;
+    T2T/M2T add ``lrelu(W q)·w[:d]`` gathered at ``i`` to ``lrelu(x)·w[d:]``
+    gathered at ``j``. Pairs outnumber nodes by the mean cluster size, so this
+    keeps every ``d``-wide product off the pair axis.
     """
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64).ravel()
     member_ids = np.asarray(member_ids, dtype=np.int64).ravel()
@@ -170,15 +180,19 @@ def attention_scores(
             raise IndexError("pair references a node outside the representation matrix")
 
     if params.kind == "S2T":
-        keys = gather_rows(matmul(candidates, params.weight), member_ids)
-        return matmul(leaky_relu(keys, _ATTENTION_SLOPE), params.score)
+        keys = leaky_relu(matmul(candidates, params.weight), _ATTENTION_SLOPE)
+        return gather_rows(matmul(keys, params.score), member_ids)
 
     if queries is None:
         raise ValueError(f"{params.kind} attention needs per-cluster queries")
     if queries.data.shape != candidates.data.shape:
         raise ValueError("queries must align with candidates row-for-row")
-    transformed = matmul(queries, params.weight)
-    pairwise = concat_cols(
-        gather_rows(transformed, cluster_ids), gather_rows(candidates, member_ids)
+    d = params.weight.data.shape[0]
+    per_cluster = matmul(
+        leaky_relu(matmul(queries, params.weight), _ATTENTION_SLOPE),
+        gather_rows(params.score, np.arange(d)),
     )
-    return matmul(leaky_relu(pairwise, _ATTENTION_SLOPE), params.score)
+    per_member = matmul(
+        leaky_relu(candidates, _ATTENTION_SLOPE), gather_rows(params.score, np.arange(d, 2 * d))
+    )
+    return add(gather_rows(per_cluster, cluster_ids), gather_rows(per_member, member_ids))

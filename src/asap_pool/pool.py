@@ -194,6 +194,11 @@ def form_clusters(
 
     clusters = None
     if need_cluster_features:
+        # Keep this arithmetic (row scale, then a per-cluster sum in member
+        # order): fitness of automorphic nodes ties exactly only because it
+        # rounds like the dense reference, and selection breaks exact ties by
+        # index. An spmm or any other summation order moves fitness by ~1e-16
+        # and reorders the survivors.
         weighted = hadamard(weights, gather_rows(x, member_ids))
         clusters = segment_reduce("sum", weighted, cluster_ids, n)
 

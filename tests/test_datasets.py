@@ -90,8 +90,10 @@ def test_load_rejects_cross_graph_edge(tmp_path):
     files = dict(BASE_FILES)
     files["A"] = BASE_FILES["A"] + ["3, 4", "4, 3"]
     write_fixture(tmp_path, "TOY", files)
-    with pytest.raises(TUFormatError):
+    with pytest.raises(TUFormatError) as exc:
         load_tu_dataset(tmp_path, "TOY")
+    assert exc.value.line_no == 9
+    assert "TOY_A.txt:9: edge (3, 4) crosses graphs" in str(exc.value)
 
 
 def test_load_reports_line_numbers_for_bad_input(tmp_path):

@@ -232,6 +232,11 @@ def test_scatter_add_rows_accumulates_duplicates():
     np.testing.assert_allclose(
         out, [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0], [0.0, 0.0]]
     )
+    empty = scatter_add_rows(3, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    np.testing.assert_array_equal(empty, np.zeros((3, 2)))
+    # Rows past the largest index are never written but still present.
+    trailing = scatter_add_rows(5, np.array([1, 0, 1]), rows)
+    np.testing.assert_allclose(trailing, [[2.0, 2.0], [4.0, 4.0], [0, 0], [0, 0], [0, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +285,29 @@ def test_segment_reduce_requires_sorted_ids():
 
 
 def test_segment_max_gradient_breaks_ties_toward_lowest_row():
-    x = Tensor(np.array([[2.0], [2.0], [1.0]]), requires_grad=True)
+    # Segment 0 ties on rows 0/1 (col 0), 1/2 (col 1) and 0/1/2 (col 2);
+    # segment 1 is a single row; segment 2 ties on rows 4/5 in cols 0 and 1.
+    x = Tensor(
+        np.array(
+            [
+                [2.0, 1.0, 5.0],
+                [2.0, 3.0, 5.0],
+                [1.0, 3.0, 5.0],
+                [-1.0, 0.0, 7.0],
+                [4.0, -2.0, 0.0],
+                [4.0, -2.0, 1.0],
+            ]
+        ),
+        requires_grad=True,
+    )
     with Tape() as tape:
-        y = reduce_sum(segment_reduce("max", x, np.array([0, 0, 0])))
+        peak = segment_reduce("max", x, np.array([0, 0, 0, 1, 2, 2]))
+        y = reduce_sum(peak)
     tape.backward(y)
-    np.testing.assert_allclose(x.grad, [[1.0], [0.0], [0.0]])
+    np.testing.assert_array_equal(peak.data, [[2, 3, 5], [-1, 0, 7], [4, -2, 1]])
+    np.testing.assert_array_equal(
+        x.grad, [[1, 0, 1], [0, 1, 0], [0, 0, 0], [1, 1, 1], [1, 1, 0], [0, 0, 1]]
+    )
 
 
 def test_segment_softmax_matches_numpy_per_segment():

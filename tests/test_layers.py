@@ -170,6 +170,26 @@ def test_m2t_scores_hand_computed():
     np.testing.assert_allclose(out.data, [[2.8], [2.8]], atol=1e-12)
 
 
+def test_t2t_scores_hand_computed():
+    # Two clusters, each queried by its medoid's own row; W swaps columns.
+    cand = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]))
+    params = AttentionParams(
+        kind="T2T",
+        weight=Tensor(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        score=Tensor(np.array([[1.0], [2.0], [-1.0], [0.5]])),
+    )
+    # W q_0 = (-2, 1) -> lrelu (-0.4, 1)  . (1, 2)  = 1.6
+    # W q_1 = (0.5, 3) -> lrelu (0.5, 3)  . (1, 2)  = 6.5
+    # lrelu x_0 = (1, -0.4)                . (-1, 0.5) = -1.2
+    # lrelu x_1 = (3, 0.5)                 . (-1, 0.5) = -2.75
+    out = attention_scores(
+        params, cand, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), queries=cand
+    )
+    np.testing.assert_allclose(
+        out.data, [[1.6 - 1.2], [1.6 - 2.75], [6.5 - 1.2], [6.5 - 2.75]], atol=1e-12
+    )
+
+
 def test_m2t_requires_queries():
     cand = Tensor(np.ones((2, 2)))
     params = AttentionParams(
