@@ -92,18 +92,19 @@ def load_tu_dataset(directory, name: str) -> Dataset:
 
     indicator_path = Path(f"{prefix}_graph_indicator.txt")
     indicator_lines = _read_lines(indicator_path)
+    indicator_line_nos = [i + 1 for i, line in enumerate(indicator_lines) if line.strip()]
     node_graph = np.array(
         [
-            _parse_int(indicator_path, i + 1, line, "graph id")
-            for i, line in enumerate(indicator_lines)
-            if line.strip()
+            _parse_int(indicator_path, i, indicator_lines[i - 1], "graph id")
+            for i in indicator_line_nos
         ],
         dtype=np.int64,
     )
     if node_graph.size == 0:
         raise TUFormatError(indicator_path, 1, "no nodes listed")
     if node_graph.min() < 1:
-        raise TUFormatError(indicator_path, 1, "graph ids must be positive")
+        first = int(np.argmax(node_graph < 1))
+        raise TUFormatError(indicator_path, indicator_line_nos[first], "graph ids must be positive")
     n_nodes = node_graph.shape[0]
     n_graphs = int(node_graph.max())
 
@@ -147,13 +148,18 @@ def load_tu_dataset(directory, name: str) -> Dataset:
 
     features = _node_features(prefix, n_nodes, edge_pairs)
 
+    empty = np.flatnonzero(np.bincount(node_graph, minlength=n_graphs + 1)[1:] == 0)
+    if empty.size:
+        gid = int(empty[0]) + 1
+        # Ids run up to n_graphs, so some line lists a graph past the empty one.
+        skip = int(np.argmax(node_graph > gid))
+        raise TUFormatError(indicator_path, indicator_line_nos[skip], f"graph {gid} has no nodes")
+
     # Slice the flat node arrays into per-graph blocks.
     graphs: list[Graph] = []
     node_index = np.full(n_nodes, -1, dtype=np.int64)
     for gid in range(1, n_graphs + 1):
         members = np.flatnonzero(node_graph == gid)
-        if members.size == 0:
-            raise TUFormatError(indicator_path, 0, f"graph {gid} has no nodes")
         node_index[members] = np.arange(members.size)
         local_edges = [
             (int(node_index[u]), int(node_index[v]))
@@ -171,7 +177,7 @@ def load_tu_dataset(directory, name: str) -> Dataset:
 def _node_features(prefix, n_nodes: int, edge_pairs) -> np.ndarray:
     attributes_path = Path(f"{prefix}_node_attributes.txt")
     if attributes_path.is_file():
-        rows = []
+        rows, row_line_nos = [], []
         for i, line in enumerate(_read_lines(attributes_path)):
             if not line.strip():
                 continue
@@ -179,11 +185,16 @@ def _node_features(prefix, n_nodes: int, edge_pairs) -> np.ndarray:
                 rows.append([float(tok) for tok in line.split(",")])
             except ValueError:
                 raise TUFormatError(attributes_path, i + 1, f"bad attribute row {line.strip()!r}") from None
+            row_line_nos.append(i + 1)
         if len(rows) != n_nodes:
             raise TUFormatError(attributes_path, len(rows), f"expected {n_nodes} attribute rows")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise TUFormatError(attributes_path, 0, "inconsistent attribute widths")
+        for row, line_no in zip(rows, row_line_nos):
+            if len(row) != len(rows[0]):
+                raise TUFormatError(
+                    attributes_path,
+                    line_no,
+                    f"inconsistent attribute widths: {len(row)} values, the first row has {len(rows[0])}",
+                )
         return np.array(rows, dtype=np.float64)
 
     labels_path = Path(f"{prefix}_node_labels.txt")

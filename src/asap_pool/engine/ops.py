@@ -30,7 +30,6 @@ __all__ = [
     "sigmoid",
     "tanh",
     "rsqrt",
-    "elementwise",
     "reduce_sum",
     "reduce_mean",
     "gather_rows",
@@ -197,26 +196,6 @@ def rsqrt(x: Tensor) -> Tensor:
 
     record(out, (x,), backward)
     return out
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "hadamard": hadamard,
-    "relu": relu,
-    "leaky_relu": leaky_relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-}
-
-
-def elementwise(kind: str, *operands: Tensor) -> Tensor:
-    """Dispatch to a named elementwise op (``add``, ``hadamard``, ``relu``...)."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind {kind!r}") from None
-    return fn(*operands)
 
 
 def reduce_sum(x: Tensor) -> Tensor:

@@ -49,7 +49,7 @@ class SparseMatrix:
     view is only cached for untracked matrices.
     """
 
-    __slots__ = ("shape", "rows", "cols", "values", "requires_grad", "grad", "_csr")
+    __slots__ = ("shape", "rows", "cols", "values", "requires_grad", "grad", "_csr", "_index")
 
     def __init__(self, shape, rows, cols, values, requires_grad: bool = False):
         n_rows, n_cols = (int(shape[0]), int(shape[1]))
@@ -76,6 +76,7 @@ class SparseMatrix:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._csr = None
+        self._index = None
 
     @classmethod
     def from_coo(cls, shape, rows, cols, values, requires_grad: bool = False) -> "SparseMatrix":
@@ -100,11 +101,26 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.values.shape[0]
 
+    def csr_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indices, indptr)`` of the pattern, in the index dtype scipy picks (cached).
+
+        The pattern is already row-major and unique, so ``indptr`` is just the
+        running count of entries per row; no COO conversion is needed.
+        """
+        if self._index is None:
+            n_rows = self.shape[0]
+            fits = max(self.nnz, n_rows, self.shape[1]) <= np.iinfo(np.int32).max
+            dtype = np.int32 if fits else np.int64
+            indptr = np.zeros(n_rows + 1, dtype=dtype)
+            np.cumsum(np.bincount(self.rows, minlength=n_rows), out=indptr[1:])
+            self._index = (self.cols.astype(dtype), indptr)
+        return self._index
+
     def csr(self) -> sp.csr_matrix:
         """scipy CSR view of the current values (cached only when untracked)."""
         if self._csr is not None:
             return self._csr
-        mat = sp.csr_matrix((self.values, (self.rows, self.cols)), shape=self.shape)
+        mat = _csr_on(self, self.values)
         if not self.requires_grad:
             self._csr = mat
         return mat
@@ -125,6 +141,27 @@ class SparseMatrix:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz}{flag})"
+
+
+def _csr_on(pattern: SparseMatrix, values: np.ndarray) -> sp.csr_matrix:
+    """scipy CSR matrix with ``pattern``'s layout holding ``values``."""
+    indices, indptr = pattern.csr_index()
+    mat = sp.csr_matrix((values, indices, indptr), shape=pattern.shape)
+    mat.has_canonical_format = True
+    return mat
+
+
+def _sample(product: sp.spmatrix, pattern: SparseMatrix) -> np.ndarray:
+    """Entries of a scipy product at ``pattern``'s coordinates (0 where it stores none)."""
+    product = product.tocsr()
+    product.sort_indices()
+    if product.nnz == 0:
+        return np.zeros(pattern.nnz)
+    rows = np.repeat(np.arange(product.shape[0], dtype=np.int64), np.diff(product.indptr))
+    keys = _encode(rows, product.indices, product.shape[1])
+    wanted = pattern.pattern_key()
+    pos = np.minimum(np.searchsorted(keys, wanted), keys.shape[0] - 1)
+    return np.where(keys[pos] == wanted, product.data[pos], 0.0)
 
 
 def _sparse_out(shape, rows, cols, values) -> SparseMatrix:
@@ -156,18 +193,16 @@ def spspmm(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         raise ShapeError(f"spspmm inner dims differ: {a.shape} @ {b.shape}")
     prod = (a.csr() @ b.csr()).tocsr()
     prod.sum_duplicates()
-    prod.sort_indices()
-    coo = prod.tocoo()
-    out = _sparse_out((a.shape[0], b.shape[1]), coo.row, coo.col, coo.data)
+    rows = np.repeat(np.arange(prod.shape[0], dtype=np.int64), np.diff(prod.indptr))
+    out = _sparse_out((a.shape[0], b.shape[1]), rows, prod.indices, prod.data)
 
     def backward(grad, accumulate):
-        grad_csr = sp.csr_matrix((grad, (out.rows, out.cols)), shape=out.shape)
+        # dA = G Bᵀ and dB = Aᵀ G, each read off at that operand's stored entries.
+        grad_csr = _csr_on(out, grad)
         if a.requires_grad:
-            full = (grad_csr @ b.csr().T).tocsr()
-            accumulate(a, np.asarray(full[a.rows, a.cols]).ravel())
+            accumulate(a, _sample(grad_csr @ b.csr().T, a))
         if b.requires_grad:
-            full = (a.csr().T @ grad_csr).tocsr()
-            accumulate(b, np.asarray(full[b.rows, b.cols]).ravel())
+            accumulate(b, _sample(a.csr().T @ grad_csr, b))
 
     record(out, (a, b), backward)
     return out

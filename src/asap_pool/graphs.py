@@ -204,8 +204,8 @@ def permute_graph(g: Graph, perm) -> Graph:
 
 
 def _pattern_csr(a: SparseMatrix) -> sp.csr_matrix:
-    ones = np.ones(a.nnz, dtype=bool)
-    return sp.csr_matrix((ones, (a.rows, a.cols)), shape=a.shape)
+    indices, indptr = a.csr_index()
+    return sp.csr_matrix((np.ones(a.nnz, dtype=bool), indices, indptr), shape=a.shape)
 
 
 def _reach_pattern(a: SparseMatrix, steps: int) -> SparseMatrix:

@@ -148,8 +148,9 @@ def forward(
     ids, n_graphs = batch.node_graph_ids, batch.n_graphs
     summary: Tensor | None = None
     for block in model.blocks:
-        x = gcn_forward(x, normalize_gcn(a), block.gcn, activation=relu)
-        pooled = asap_pool_batch(x, a, ids, n_graphs, block.pool, model.config.pool)
+        a_norm = normalize_gcn(a)  # shared by this level's convolution and pooling
+        x = gcn_forward(x, a_norm, block.gcn, activation=relu)
+        pooled = asap_pool_batch(x, a, ids, n_graphs, block.pool, model.config.pool, a_norm)
         x, a, ids = pooled.features, pooled.adjacency, pooled.node_graph_ids
         level = readout(x, ids, n_graphs)
         summary = level if summary is None else add(summary, level)

@@ -24,7 +24,6 @@ treated as constants, like any argmax).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +164,7 @@ class PooledGraph:
 def form_clusters(
     x: Tensor,
     a: SparseMatrix,
+    a_norm: SparseMatrix,
     params: PoolParams,
     config: PoolConfig,
     *,
@@ -172,16 +172,22 @@ def form_clusters(
 ):
     """Soft membership weights and (optionally) weighted cluster features.
 
-    Returns ``(clusters, membership, pairs)`` where ``membership`` is the
-    ``N x N`` matrix with ``membership[j, i]`` the weight of node ``j`` in the
-    cluster centred on ``i`` (columns sum to one over members) and ``pairs``
-    is the underlying ``(cluster_ids, member_ids)`` pattern.
+    ``a_norm`` is ``normalize_gcn(a)``. Returns ``(clusters, membership,
+    pairs)`` where ``membership`` is the ``N x N`` matrix with
+    ``membership[j, i]`` the weight of node ``j`` in the cluster centred on
+    ``i`` (columns sum to one over members) and ``pairs`` is the underlying
+    ``(cluster_ids, member_ids)`` pattern.
     """
     n = a.shape[0]
-    pattern = h_hop_membership(a, config.h)
-    cluster_ids, member_ids = pattern.rows, pattern.cols
+    if config.h == 1:
+        # The 1-hop balls (self included) are exactly the pattern of A + I,
+        # which the renormalized adjacency already stores.
+        cluster_ids, member_ids = a_norm.rows, a_norm.cols
+    else:
+        pattern = h_hop_membership(a, config.h)
+        cluster_ids, member_ids = pattern.rows, pattern.cols
 
-    transformed = gcn_forward(x, normalize_gcn(a), params.intra_gcn)
+    transformed = gcn_forward(x, a_norm, params.intra_gcn)
     if config.attention == "M2T":
         members = gather_rows(transformed, member_ids)
         queries = segment_reduce("max", members, cluster_ids, n)
@@ -209,18 +215,21 @@ def form_clusters(
     return clusters, membership, (cluster_ids, member_ids)
 
 
-def score_clusters(x: Tensor, a: SparseMatrix, params: PoolParams, config: PoolConfig) -> Tensor:
+def score_clusters(
+    x: Tensor, a: SparseMatrix, a_norm: SparseMatrix, params: PoolParams, config: PoolConfig
+) -> Tensor:
     """Sigmoid fitness of each cluster from its representative features."""
     if config.fitness == "LEConv":
         return leconv_forward(x, a, params.fitness, activation=sigmoid)
     if config.fitness == "BasicLEConv":
         return leconv_forward(x, a, LEConvParams.tied(params.fitness.weight), activation=sigmoid)
-    return gcn_forward(x, normalize_gcn(a), params.fitness, activation=sigmoid)
+    return gcn_forward(x, a_norm, params.fitness, activation=sigmoid)
 
 
-def top_count(k: float, n: int) -> int:
-    """⌈k·n⌉ with protection against float wobble, at least one."""
-    return max(1, min(n, math.ceil(k * n - 1e-9)))
+def top_count(k: float, n):
+    """⌈k·n⌉ with protection against float wobble, at least one (per entry if ``n`` is an array)."""
+    count = np.maximum(1, np.minimum(n, np.ceil(k * np.asarray(n) - 1e-9))).astype(np.int64)
+    return count if count.ndim else int(count)
 
 
 def select_top(
@@ -236,14 +245,13 @@ def select_top(
         raise ValueError("fitness rows must match node count")
     counts = np.bincount(node_graph_ids, minlength=n_graphs)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    picks: list[np.ndarray] = []
-    for g in range(n_graphs):
-        lo, hi = int(offsets[g]), int(offsets[g + 1])
-        order = np.argsort(-phi[lo:hi], kind="stable")
-        picks.append(lo + order[: top_count(k, hi - lo)])
-    selected = np.concatenate(picks) if picks else np.zeros(0, dtype=np.int64)
-    pooled_ids = np.repeat(np.arange(n_graphs, dtype=np.int64), [p.shape[0] for p in picks])
-    return selected, pooled_ids
+    # One sort for the whole batch: by graph, then fitness descending, then index.
+    order = np.lexsort((np.arange(phi.shape[0]), -phi, node_graph_ids))
+    keep = top_count(k, counts)
+    graph_of = node_graph_ids[order]
+    rank = np.arange(order.shape[0]) - offsets[graph_of]
+    selected = order[rank < keep[graph_of]]
+    return selected, node_graph_ids[selected]
 
 
 def coarsen_adjacency(
@@ -271,20 +279,27 @@ def asap_pool_batch(
     n_graphs: int,
     params: PoolParams,
     config: PoolConfig,
+    a_norm: SparseMatrix | None = None,
 ) -> PooledBatch:
-    """One pooling step over a block-diagonal batch."""
+    """One pooling step over a block-diagonal batch.
+
+    ``a_norm`` is ``normalize_gcn(a)`` when the caller already has it (the
+    model's convolution uses the same matrix); otherwise it is computed here.
+    """
     node_graph_ids = np.asarray(node_graph_ids, dtype=np.int64).ravel()
     if x.data.shape[0] != a.shape[0] or a.shape[0] != node_graph_ids.shape[0]:
         raise ValueError("features, adjacency and graph ids must agree on node count")
+    if a_norm is None:
+        a_norm = normalize_gcn(a)
 
     need_clusters = config.aggregation != "None"
     clusters, membership, _ = form_clusters(
-        x, a, params, config, need_cluster_features=need_clusters
+        x, a, a_norm, params, config, need_cluster_features=need_clusters
     )
 
     fitness_input = clusters if config.aggregation == "Both" else x
     carried = x if config.aggregation == "None" else clusters
-    fitness = score_clusters(fitness_input, a, params, config)
+    fitness = score_clusters(fitness_input, a, a_norm, params, config)
 
     selected, pooled_ids = select_top(fitness, config.k, node_graph_ids, n_graphs)
     gated = hadamard(fitness, carried)

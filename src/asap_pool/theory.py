@@ -27,17 +27,10 @@ from itertools import product
 
 import numpy as np
 
-from .engine import (
-    SparseMatrix,
-    Tensor,
-    sparse_add_identity,
-    sparse_select_columns,
-    sparse_transpose,
-    spspmm,
-)
+from .engine import SparseMatrix, Tensor, sparse_transpose
 from .graphs import Graph, bfs_distances, graph_from_edges, h_hop_membership, graph_power, permute_graph, prufer_to_edges
 from .layers import LEConvParams
-from .pool import PoolConfig, PoolParams, asap_pool
+from .pool import PoolConfig, PoolParams, asap_pool, coarsen_adjacency
 
 __all__ = [
     "OptimumResult",
@@ -416,10 +409,11 @@ class GraphPowerResult:
 def verify_graph_power(g: Graph, p: int, h: int) -> GraphPowerResult:
     """Compare edge reach with and without clusters after a power-``p`` boost.
 
-    The cluster route runs the production sparse pipeline (indicator
-    memberships over the original graph's ``h``-hop clusters, coarsened over
-    ``A^p + I`` with every cluster kept) rather than reasoning about
-    distances, so this checks the operator, not just the theory.
+    The cluster route runs the production coarsening,
+    :func:`pool.coarsen_adjacency` (indicator memberships over the original
+    graph's ``h``-hop clusters, coarsened over ``A^p + I`` with every cluster
+    kept), rather than reasoning about distances, so this checks the
+    operator, not just the theory.
     """
     a = g.adjacency
     dist = bfs_distances(a)
@@ -436,12 +430,8 @@ def verify_graph_power(g: Graph, p: int, h: int) -> GraphPowerResult:
     plain_ok = plain_pairs == expected_plain
 
     membership = sparse_transpose(h_hop_membership(a, h))  # rows nodes, cols clusters
-    keep_all = np.arange(g.n_nodes)
-    s_hat = sparse_select_columns(membership, keep_all)
-    pooled = spspmm(spspmm(sparse_transpose(s_hat), sparse_add_identity(power)), s_hat)
-    pooled_pairs = {
-        (int(u), int(v)) for u, v in zip(pooled.rows, pooled.cols) if u != v
-    }
+    pooled, _ = coarsen_adjacency(power, membership, np.arange(g.n_nodes), True)
+    pooled_pairs = set(zip(pooled.rows.tolist(), pooled.cols.tolist()))
     expected_pooled = {
         (u, v)
         for u in range(g.n_nodes)

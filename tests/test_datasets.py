@@ -105,6 +105,38 @@ def test_load_reports_line_numbers_for_bad_input(tmp_path):
     assert exc.value.line_no == 2
 
 
+def test_load_reports_line_of_skipped_graph_id(tmp_path):
+    files = dict(BASE_FILES)
+    # Graph 2 has no nodes; line 4 (after a blank line) is the first to skip past it.
+    files["graph_indicator"] = ["1", "1", "", "3", "3", "3"]
+    files["graph_labels"] = ["1", "-1", "1"]
+    files["A"] = ["1, 2", "2, 1", "3, 4", "4, 3"]
+    write_fixture(tmp_path, "TOY", files)
+    with pytest.raises(TUFormatError) as exc:
+        load_tu_dataset(tmp_path, "TOY")
+    assert exc.value.line_no == 4
+    assert "TOY_graph_indicator.txt:4: graph 2 has no nodes" in str(exc.value)
+
+
+def test_load_reports_line_of_nonpositive_graph_id(tmp_path):
+    files = dict(BASE_FILES)
+    files["graph_indicator"] = ["1", "1", "0", "2", "2"]
+    write_fixture(tmp_path, "TOY", files)
+    with pytest.raises(TUFormatError) as exc:
+        load_tu_dataset(tmp_path, "TOY")
+    assert exc.value.line_no == 3
+
+
+def test_load_reports_line_of_inconsistent_attribute_width(tmp_path):
+    files = dict(BASE_FILES)
+    files["node_attributes"] = ["1.0, 2.0", "3.0, 4.0", "5.0", "6.0, 7.0", "8.0, 9.0"]
+    write_fixture(tmp_path, "TOY", files)
+    with pytest.raises(TUFormatError) as exc:
+        load_tu_dataset(tmp_path, "TOY")
+    assert exc.value.line_no == 3
+    assert "TOY_node_attributes.txt:3: inconsistent attribute widths" in str(exc.value)
+
+
 def test_load_missing_file(tmp_path):
     (tmp_path / "TOY").mkdir()
     with pytest.raises(FileNotFoundError):

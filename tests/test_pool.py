@@ -5,7 +5,7 @@ import pytest
 
 from _dense_reference import dense_pool
 from asap_pool.engine import Tensor, grad_check, reduce_sum
-from asap_pool.graphs import batch_graphs, graph_from_edges
+from asap_pool.graphs import batch_graphs, graph_from_edges, h_hop_membership, normalize_gcn
 from asap_pool.layers import AttentionParams, GCNParams, LEConvParams
 from asap_pool.model import readout
 from asap_pool.pool import (
@@ -15,6 +15,7 @@ from asap_pool.pool import (
     PoolParams,
     asap_pool,
     asap_pool_batch,
+    form_clusters,
     pooled_batch_as_graph_batch,
     select_top,
     top_count,
@@ -88,6 +89,27 @@ def test_select_top_per_graph():
     selected, pooled_ids = select_top(phi, 0.5, ids, 2)
     assert selected.tolist() == [2, 1, 4]
     assert pooled_ids.tolist() == [0, 0, 1]
+
+    # Exact ties inside and across graphs keep the lower index; a one-node
+    # graph keeps its node.
+    phi = Tensor([[0.7], [0.4], [0.7], [0.4], [0.4], [0.7], [0.7], [0.7], [0.4], [0.4]])
+    ids = np.array([0, 0, 0, 0, 1, 1, 1, 2, 3, 3])
+    selected, pooled_ids = select_top(phi, 0.5, ids, 4)
+    assert selected.tolist() == [0, 2, 5, 6, 7, 8]
+    assert pooled_ids.tolist() == [0, 0, 1, 1, 2, 3]
+
+    # Same answer as ranking each graph on its own, on tie-heavy inputs.
+    rng = np.random.default_rng(4)
+    sizes = rng.integers(1, 6, size=9)
+    ids = np.repeat(np.arange(9), sizes)
+    phi = Tensor(rng.integers(0, 3, size=(ids.shape[0], 1)) / 4.0)
+    expected = []
+    for g, lo in enumerate(np.concatenate(([0], np.cumsum(sizes)[:-1]))):
+        order = np.argsort(-phi.data[lo : lo + sizes[g], 0], kind="stable")
+        expected.extend((lo + order[: top_count(0.4, int(sizes[g]))]).tolist())
+    selected, pooled_ids = select_top(phi, 0.4, ids, 9)
+    assert selected.tolist() == expected
+    assert pooled_ids.tolist() == ids[expected].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +308,26 @@ def test_batch_equals_per_graph_pooling():
         np.testing.assert_allclose(block, single.adjacency.to_dense(), atol=1e-12)
         offset += g.n_nodes
         pooled_offset += m
+
+
+@pytest.mark.parametrize("soft_edges", [True, False])
+def test_one_hop_membership_is_normalized_adjacency_pattern(soft_edges):
+    rng = np.random.default_rng(8)
+    graphs = [random_connected_graph(rng, n) for n in (6, 9, 1, 7)]
+    batch = batch_graphs(graphs)
+    config = PoolConfig(soft_edges=soft_edges)
+    x, a, ids = batch.features, batch.adjacency, batch.node_graph_ids
+    for _ in range(3):  # the input graphs, then two pooled levels
+        reference = h_hop_membership(a, 1)
+        a_norm = normalize_gcn(a)
+        np.testing.assert_array_equal(a_norm.rows, reference.rows)
+        np.testing.assert_array_equal(a_norm.cols, reference.cols)
+        params = PoolParams.init(rng, x.data.shape[1], config)
+        _, _, (cluster_ids, member_ids) = form_clusters(x, a, a_norm, params, config)
+        np.testing.assert_array_equal(cluster_ids, reference.rows)
+        np.testing.assert_array_equal(member_ids, reference.cols)
+        pooled = asap_pool_batch(x, a, ids, batch.n_graphs, params, config, a_norm)
+        x, a, ids = pooled.features, pooled.adjacency, pooled.node_graph_ids
 
 
 def test_pooled_batch_to_graph_batch_round_trip():

@@ -101,6 +101,63 @@ def test_spspmm_matches_dense_product():
     )
 
 
+def assert_csr_identical(got, want):
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype, field
+        np.testing.assert_array_equal(g, w)
+
+
+@given(seed=st.integers(0, 2**31 - 1), n_rows=st.integers(0, 7), n_cols=st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_csr_matches_scipy_coo_construction(seed, n_rows, n_cols):
+    rng = np.random.default_rng(seed)
+    s = random_sparse(rng, n_rows, n_cols, density=rng.uniform(0.0, 1.0))
+    coo_built = sp.csr_matrix((s.values, (s.rows, s.cols)), shape=s.shape)
+    assert_csr_identical(s.csr(), coo_built)
+
+
+def test_csr_empty_rows_and_no_entries():
+    # Rows 0, 2 and the trailing rows 4-5 are empty.
+    s = SparseMatrix.from_coo((6, 4), [1, 1, 3], [0, 3, 2], [1.0, 2.0, 3.0])
+    assert s.csr().indptr.tolist() == [0, 0, 2, 2, 3, 3, 3]
+    for m in (s, SparseMatrix.empty((3, 5)), SparseMatrix.empty((0, 2))):
+        assert_csr_identical(m.csr(), sp.csr_matrix((m.values, (m.rows, m.cols)), shape=m.shape))
+
+
+def test_csr_uses_wide_indices_when_shape_needs_them():
+    wide = 2**31 + 5
+    s = SparseMatrix((3, wide), [0, 2], [5, wide - 1], [1.0, 2.0])
+    assert s.csr().indices.dtype == np.int64
+    assert_csr_identical(s.csr(), sp.csr_matrix((s.values, (s.rows, s.cols)), shape=s.shape))
+
+
+def test_spspmm_gradient_is_dense_product_sampled_on_each_pattern():
+    rng = np.random.default_rng(21)
+    mask_a = rng.random((4, 5)) < 0.6
+    mask_b = rng.random((5, 4)) < 0.6
+    # a's column 2 meets b's empty row 2, and b's row 3 meets a's empty
+    # column 3: those operand entries are absent from every gradient product.
+    mask_a[:, 3], mask_a[0, 2], mask_a[1, 0] = False, True, True
+    mask_b[2, :], mask_b[3, 1], mask_b[0, 0] = False, True, True
+    a, b = (
+        SparseMatrix.from_coo(m.shape, *np.nonzero(m), rng.standard_normal(m.sum()), requires_grad=True)
+        for m in (mask_a, mask_b)
+    )
+    with Tape() as tape:
+        out = spspmm(a, b)
+        upstream = rng.standard_normal((out.nnz, 1))
+        loss = reduce_sum(hadamard(sparse_values(out), Tensor(upstream)))
+    grads = tape.backward(loss)
+    g = np.zeros(out.shape)
+    g[out.rows, out.cols] = upstream[:, 0]
+    np.testing.assert_allclose(grads[a], (g @ b.to_dense().T)[a.rows, a.cols], atol=1e-12)
+    np.testing.assert_allclose(grads[b], (a.to_dense().T @ g)[b.rows, b.cols], atol=1e-12)
+    assert np.all(grads[a][a.cols == 2] == 0.0)
+    assert np.all(grads[b][b.rows == 3] == 0.0)
+
+
 def test_spspmm_shape_mismatch():
     with pytest.raises(EngineError):
         spspmm(SparseMatrix.identity(3), SparseMatrix.identity(4))
