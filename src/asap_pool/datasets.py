@@ -72,10 +72,11 @@ KNOWN_DATASET_STATS: dict[str, DatasetStats] = {
 _NAME_ALIASES = {"D&D": "DD"}
 
 
-def _read_lines(path: Path) -> list[str]:
+def _numbered_lines(path: Path) -> list[tuple[int, str]]:
+    """The non-blank lines of ``path`` with their 1-based line numbers."""
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file {path}")
-    return path.read_text().splitlines()
+    return [(i + 1, line) for i, line in enumerate(path.read_text().splitlines()) if line.strip()]
 
 
 def _parse_int(path, line_no, text, what) -> int:
@@ -91,13 +92,10 @@ def load_tu_dataset(directory, name: str) -> Dataset:
     prefix = root / name
 
     indicator_path = Path(f"{prefix}_graph_indicator.txt")
-    indicator_lines = _read_lines(indicator_path)
-    indicator_line_nos = [i + 1 for i, line in enumerate(indicator_lines) if line.strip()]
+    indicator_lines = _numbered_lines(indicator_path)
+    indicator_line_nos = [i for i, _ in indicator_lines]
     node_graph = np.array(
-        [
-            _parse_int(indicator_path, i, indicator_lines[i - 1], "graph id")
-            for i in indicator_line_nos
-        ],
+        [_parse_int(indicator_path, i, line, "graph id") for i, line in indicator_lines],
         dtype=np.int64,
     )
     if node_graph.size == 0:
@@ -109,14 +107,13 @@ def load_tu_dataset(directory, name: str) -> Dataset:
     n_graphs = int(node_graph.max())
 
     labels_path = Path(f"{prefix}_graph_labels.txt")
-    label_lines = [line for line in _read_lines(labels_path) if line.strip()]
+    label_lines = _numbered_lines(labels_path)
     if len(label_lines) != n_graphs:
         raise TUFormatError(
             labels_path, len(label_lines), f"expected {n_graphs} graph labels, got {len(label_lines)}"
         )
     raw_labels = np.array(
-        [_parse_int(labels_path, i + 1, line, "graph label") for i, line in enumerate(label_lines)],
-        dtype=np.int64,
+        [_parse_int(labels_path, i, line, "graph label") for i, line in label_lines], dtype=np.int64
     )
     classes = np.unique(raw_labels)
     label_of = {int(c): idx for idx, c in enumerate(classes)}
@@ -124,19 +121,17 @@ def load_tu_dataset(directory, name: str) -> Dataset:
 
     edges_path = Path(f"{prefix}_A.txt")
     edge_rows: list[tuple[int, int, int]] = []  # (line number, u, v), nodes 0-based
-    for i, line in enumerate(_read_lines(edges_path)):
-        if not line.strip():
-            continue
+    for i, line in _numbered_lines(edges_path):
         parts = line.split(",")
         if len(parts) != 2:
-            raise TUFormatError(edges_path, i + 1, f"expected 'i, j', got {line.strip()!r}")
-        u = _parse_int(edges_path, i + 1, parts[0], "node id")
-        v = _parse_int(edges_path, i + 1, parts[1], "node id")
+            raise TUFormatError(edges_path, i, f"expected 'i, j', got {line.strip()!r}")
+        u = _parse_int(edges_path, i, parts[0], "node id")
+        v = _parse_int(edges_path, i, parts[1], "node id")
         if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise TUFormatError(edges_path, i + 1, f"node id outside 1..{n_nodes}")
+            raise TUFormatError(edges_path, i, f"node id outside 1..{n_nodes}")
         if u == v:
             continue  # stray self loops are dropped
-        edge_rows.append((i + 1, u - 1, v - 1))
+        edge_rows.append((i, u - 1, v - 1))
     edge_lines, heads, tails = np.array(edge_rows, dtype=np.int64).reshape(-1, 3).T
     crossing = np.flatnonzero(node_graph[heads] != node_graph[tails])
     if crossing.size:
@@ -148,27 +143,36 @@ def load_tu_dataset(directory, name: str) -> Dataset:
 
     features = _node_features(prefix, n_nodes, edge_pairs)
 
-    empty = np.flatnonzero(np.bincount(node_graph, minlength=n_graphs + 1)[1:] == 0)
+    sizes = np.bincount(node_graph, minlength=n_graphs + 1)[1:]
+    empty = np.flatnonzero(sizes == 0)
     if empty.size:
         gid = int(empty[0]) + 1
         # Ids run up to n_graphs, so some line lists a graph past the empty one.
         skip = int(np.argmax(node_graph > gid))
         raise TUFormatError(indicator_path, indicator_line_nos[skip], f"graph {gid} has no nodes")
 
-    # Slice the flat node arrays into per-graph blocks.
+    # Slice the flat arrays into per-graph blocks: nodes grouped by graph in
+    # file order, each numbered by its rank within its graph, and edges
+    # grouped by graph in file order.
+    node_order = np.argsort(node_graph, kind="stable")
+    node_starts = np.concatenate(([0], np.cumsum(sizes)))
+    local = np.empty(n_nodes, dtype=np.int64)
+    local[node_order] = np.arange(n_nodes) - np.repeat(node_starts[:-1], sizes)
+    edge_graph = node_graph[heads]
+    edge_order = np.argsort(edge_graph, kind="stable")
+    edge_starts = np.searchsorted(edge_graph[edge_order], np.arange(1, n_graphs + 2))
+    local_heads = local[heads[edge_order]].tolist()
+    local_tails = local[tails[edge_order]].tolist()
     graphs: list[Graph] = []
-    node_index = np.full(n_nodes, -1, dtype=np.int64)
-    for gid in range(1, n_graphs + 1):
-        members = np.flatnonzero(node_graph == gid)
-        node_index[members] = np.arange(members.size)
-        local_edges = [
-            (int(node_index[u]), int(node_index[v]))
-            for u, v in edge_pairs
-            if node_graph[u] == gid
-        ]
+    for g in range(n_graphs):
+        members = node_order[node_starts[g] : node_starts[g + 1]]
+        lo, hi = edge_starts[g], edge_starts[g + 1]
         graphs.append(
             graph_from_edges(
-                members.size, local_edges, features=features[members], label=int(labels[gid - 1])
+                members.size,
+                zip(local_heads[lo:hi], local_tails[lo:hi]),
+                features=features[members],
+                label=int(labels[g]),
             )
         )
     return Dataset(name=name, graphs=graphs, n_classes=len(classes))
@@ -178,14 +182,12 @@ def _node_features(prefix, n_nodes: int, edge_pairs) -> np.ndarray:
     attributes_path = Path(f"{prefix}_node_attributes.txt")
     if attributes_path.is_file():
         rows, row_line_nos = [], []
-        for i, line in enumerate(_read_lines(attributes_path)):
-            if not line.strip():
-                continue
+        for i, line in _numbered_lines(attributes_path):
             try:
                 rows.append([float(tok) for tok in line.split(",")])
             except ValueError:
-                raise TUFormatError(attributes_path, i + 1, f"bad attribute row {line.strip()!r}") from None
-            row_line_nos.append(i + 1)
+                raise TUFormatError(attributes_path, i, f"bad attribute row {line.strip()!r}") from None
+            row_line_nos.append(i)
         if len(rows) != n_nodes:
             raise TUFormatError(attributes_path, len(rows), f"expected {n_nodes} attribute rows")
         for row, line_no in zip(rows, row_line_nos):
@@ -199,13 +201,10 @@ def _node_features(prefix, n_nodes: int, edge_pairs) -> np.ndarray:
 
     labels_path = Path(f"{prefix}_node_labels.txt")
     if labels_path.is_file():
-        lines = [line for line in _read_lines(labels_path) if line.strip()]
+        lines = _numbered_lines(labels_path)
         if len(lines) != n_nodes:
             raise TUFormatError(labels_path, len(lines), f"expected {n_nodes} node labels")
-        raw = np.array(
-            [_parse_int(labels_path, i + 1, line, "node label") for i, line in enumerate(lines)],
-            dtype=np.int64,
-        )
+        raw = np.array([_parse_int(labels_path, i, line, "node label") for i, line in lines], dtype=np.int64)
         values = np.unique(raw)
         onehot = np.zeros((n_nodes, values.shape[0]))
         onehot[np.arange(n_nodes), np.searchsorted(values, raw)] = 1.0

@@ -4,7 +4,7 @@ Every function takes and returns :class:`~asap_pool.engine.tensor.Tensor`
 objects, computes eagerly with numpy, and registers a backward closure on the
 active tape. Broadcasting is deliberately restricted: elementwise binary ops
 require equal shapes, except ``hadamard`` which also accepts a column vector
-against a matrix with the same number of rows (a per-row scale).
+(first) against a matrix with the same number of rows (a per-row scale).
 
 Segment operations act on rows grouped by a sorted ``segment_ids`` vector
 (row i belongs to segment ``segment_ids[i]``); segments index contiguous row
@@ -24,16 +24,12 @@ __all__ = [
     "add",
     "sub",
     "hadamard",
-    "scale",
     "relu",
     "leaky_relu",
     "sigmoid",
-    "tanh",
     "rsqrt",
     "reduce_sum",
-    "reduce_mean",
     "gather_rows",
-    "concat_rows",
     "concat_cols",
     "segment_reduce",
     "segment_softmax",
@@ -103,37 +99,19 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; one operand may be a column vector scaling rows."""
+    """Elementwise product; ``a`` may instead be a column vector scaling ``b``'s rows."""
     ashape, bshape = a.data.shape, b.data.shape
-    colvec_times_matrix = ashape[0] == bshape[0] and ashape[1] == 1 and bshape[1] != 1
-    matrix_times_colvec = ashape[0] == bshape[0] and bshape[1] == 1 and ashape[1] != 1
-    if not (ashape == bshape or colvec_times_matrix or matrix_times_colvec):
+    row_scale = ashape[0] == bshape[0] and ashape[1] == 1 and bshape[1] != 1
+    if not (ashape == bshape or row_scale):
         raise ShapeError(f"hadamard cannot broadcast {ashape} with {bshape}")
     out = _out(a.data * b.data)
 
     def backward(grad, accumulate):
         ga = grad * b.data
-        gb = grad * a.data
-        if colvec_times_matrix:
-            ga = ga.sum(axis=1, keepdims=True)
-        if matrix_times_colvec:
-            gb = gb.sum(axis=1, keepdims=True)
-        accumulate(a, ga)
-        accumulate(b, gb)
+        accumulate(a, ga.sum(axis=1, keepdims=True) if row_scale else ga)
+        accumulate(b, grad * a.data)
 
     record(out, (a, b), backward)
-    return out
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply every entry by a python float constant."""
-    factor = float(factor)
-    out = _out(x.data * factor)
-
-    def backward(grad, accumulate):
-        accumulate(x, grad * factor)
-
-    record(out, (x,), backward)
     return out
 
 
@@ -172,18 +150,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def tanh(x: Tensor) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    y = np.tanh(x.data)
-    out = _out(y)
-
-    def backward(grad, accumulate):
-        accumulate(x, grad * (1.0 - y * y))
-
-    record(out, (x,), backward)
-    return out
-
-
 def rsqrt(x: Tensor) -> Tensor:
     """Elementwise ``x ** -0.5`` (entries must be positive)."""
     if np.any(x.data <= 0.0):
@@ -204,20 +170,6 @@ def reduce_sum(x: Tensor) -> Tensor:
 
     def backward(grad, accumulate):
         accumulate(x, np.full_like(x.data, grad[0, 0]))
-
-    record(out, (x,), backward)
-    return out
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    """Mean of all entries as a 1x1 tensor."""
-    size = x.data.size
-    if size == 0:
-        raise ShapeError("reduce_mean of an empty tensor")
-    out = _out(np.array([[x.data.mean()]]))
-
-    def backward(grad, accumulate):
-        accumulate(x, np.full_like(x.data, grad[0, 0] / size))
 
     record(out, (x,), backward)
     return out
@@ -247,21 +199,6 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         accumulate(x, scatter_add_rows(n, idx, grad))
 
     record(out, (x,), backward)
-    return out
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two tensors with equal column counts vertically."""
-    if a.data.shape[1] != b.data.shape[1]:
-        raise ShapeError("concat_rows needs equal column counts")
-    na = a.data.shape[0]
-    out = _out(np.vstack((a.data, b.data)))
-
-    def backward(grad, accumulate):
-        accumulate(a, grad[:na])
-        accumulate(b, grad[na:])
-
-    record(out, (a, b), backward)
     return out
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "spmm",
     "spspmm",
     "sparse_make",
-    "sparse_values",
     "sparse_row_sums",
     "sparse_transpose",
     "sparse_scale_entries",
@@ -32,7 +31,6 @@ __all__ = [
     "sparse_zero_diagonal",
     "sparse_select_columns",
     "sparse_submatrix",
-    "densify",
 ]
 
 
@@ -130,10 +128,6 @@ class SparseMatrix:
         out[self.rows, self.cols] = self.values
         return out
 
-    def with_values(self, values) -> "SparseMatrix":
-        """Same pattern, new values (constant result)."""
-        return SparseMatrix(self.shape, self.rows, self.cols, values)
-
     def pattern_key(self) -> np.ndarray:
         """Row-major linear index of each stored entry (sorted, unique)."""
         return _encode(self.rows, self.cols, self.shape[1])
@@ -223,17 +217,6 @@ def sparse_make(shape, rows, cols, values: Tensor) -> SparseMatrix:
     return out
 
 
-def sparse_values(s: SparseMatrix) -> Tensor:
-    """The stored values as an ``nnz x 1`` tensor."""
-    out = Tensor(s.values[:, None].copy())
-
-    def backward(grad, accumulate):
-        accumulate(s, grad[:, 0])
-
-    record(out, (s,), backward)
-    return out
-
-
 def sparse_row_sums(s: SparseMatrix) -> Tensor:
     """Row sums as an ``n x 1`` tensor."""
     sums = np.bincount(s.rows, weights=s.values, minlength=s.shape[0])
@@ -246,18 +229,28 @@ def sparse_row_sums(s: SparseMatrix) -> Tensor:
     return out
 
 
-def sparse_transpose(s: SparseMatrix) -> SparseMatrix:
-    """Transpose, re-sorted into canonical order."""
-    order = np.lexsort((s.rows, s.cols))
-    out = _sparse_out((s.shape[1], s.shape[0]), s.cols[order], s.rows[order], s.values[order])
+def _take_entries(s: SparseMatrix, shape, source: np.ndarray, rows, cols) -> SparseMatrix:
+    """A ``shape`` matrix holding ``s.values[source]`` at the canonical ``(rows, cols)``.
+
+    Every structural op that only picks, renumbers or reorders stored entries
+    reduces to this gather; its backward scatters the gradient back to
+    ``source`` (entries not taken get zero).
+    """
+    out = _sparse_out(shape, rows, cols, s.values[source])
 
     def backward(grad, accumulate):
-        back = np.empty_like(grad)
-        back[order] = grad
+        back = np.zeros(s.nnz)
+        back[source] = grad
         accumulate(s, back)
 
     record(out, (s,), backward)
     return out
+
+
+def sparse_transpose(s: SparseMatrix) -> SparseMatrix:
+    """Transpose, re-sorted into canonical order."""
+    order = np.lexsort((s.rows, s.cols))
+    return _take_entries(s, (s.shape[1], s.shape[0]), order, s.cols[order], s.rows[order])
 
 
 def sparse_scale_entries(s: SparseMatrix, row_factors: Tensor, col_factors: Tensor) -> SparseMatrix:
@@ -322,19 +315,11 @@ def sparse_zero_diagonal(s: SparseMatrix) -> SparseMatrix:
     if s.shape[0] != s.shape[1]:
         raise ShapeError("sparse_zero_diagonal needs a square matrix")
     keep = np.flatnonzero(s.rows != s.cols)
-    out = _sparse_out(s.shape, s.rows[keep], s.cols[keep], s.values[keep])
-
-    def backward(grad, accumulate):
-        back = np.zeros(s.nnz)
-        back[keep] = grad
-        accumulate(s, back)
-
-    record(out, (s,), backward)
-    return out
+    return _take_entries(s, s.shape, keep, s.rows[keep], s.cols[keep])
 
 
-def _position_map(indices: np.ndarray, size: int, what: str) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64).ravel()
+def _position_map(idx: np.ndarray, size: int, what: str) -> np.ndarray:
+    """``lookup[i]`` is the position of ``i`` in ``idx``, or -1 where ``i`` is absent."""
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise IndexError(f"{what} index out of range")
     lookup = np.full(size, -1, dtype=np.int64)
@@ -344,57 +329,25 @@ def _position_map(indices: np.ndarray, size: int, what: str) -> np.ndarray:
     return lookup
 
 
+def _renumbered(s: SparseMatrix, shape, new_rows: np.ndarray, new_cols: np.ndarray) -> SparseMatrix:
+    """Entries whose new row and column are both >= 0, re-sorted into canonical order."""
+    keep = np.flatnonzero((new_rows >= 0) & (new_cols >= 0))
+    rows, cols = new_rows[keep], new_cols[keep]
+    order = np.lexsort((cols, rows))
+    return _take_entries(s, shape, keep[order], rows[order], cols[order])
+
+
 def sparse_select_columns(s: SparseMatrix, col_indices) -> SparseMatrix:
     """Keep columns listed in ``col_indices``, renumbered to that order."""
     col_indices = np.asarray(col_indices, dtype=np.int64).ravel()
-    lookup = _position_map(col_indices, s.shape[1], "column")
-    new_cols_all = lookup[s.cols]
-    keep = np.flatnonzero(new_cols_all >= 0)
-    rows, cols, vals = s.rows[keep], new_cols_all[keep], s.values[keep]
-    order = np.lexsort((cols, rows))
-    out = _sparse_out((s.shape[0], col_indices.shape[0]), rows[order], cols[order], vals[order])
-    source = keep[order]
-
-    def backward(grad, accumulate):
-        back = np.zeros(s.nnz)
-        back[source] = grad
-        accumulate(s, back)
-
-    record(out, (s,), backward)
-    return out
+    new_cols = _position_map(col_indices, s.shape[1], "column")[s.cols]
+    return _renumbered(s, (s.shape[0], col_indices.shape[0]), s.rows, new_cols)
 
 
 def sparse_submatrix(s: SparseMatrix, row_indices, col_indices) -> SparseMatrix:
     """Entries with row in ``row_indices`` and column in ``col_indices``, renumbered."""
     row_indices = np.asarray(row_indices, dtype=np.int64).ravel()
     col_indices = np.asarray(col_indices, dtype=np.int64).ravel()
-    row_lookup = _position_map(row_indices, s.shape[0], "row")
-    col_lookup = _position_map(col_indices, s.shape[1], "column")
-    new_rows_all = row_lookup[s.rows]
-    new_cols_all = col_lookup[s.cols]
-    keep = np.flatnonzero((new_rows_all >= 0) & (new_cols_all >= 0))
-    rows, cols, vals = new_rows_all[keep], new_cols_all[keep], s.values[keep]
-    order = np.lexsort((cols, rows))
-    out = _sparse_out(
-        (row_indices.shape[0], col_indices.shape[0]), rows[order], cols[order], vals[order]
-    )
-    source = keep[order]
-
-    def backward(grad, accumulate):
-        back = np.zeros(s.nnz)
-        back[source] = grad
-        accumulate(s, back)
-
-    record(out, (s,), backward)
-    return out
-
-
-def densify(s: SparseMatrix) -> Tensor:
-    """Dense tensor with the sparse entries filled in (zeros elsewhere)."""
-    out = Tensor(s.to_dense())
-
-    def backward(grad, accumulate):
-        accumulate(s, grad[s.rows, s.cols])
-
-    record(out, (s,), backward)
-    return out
+    new_rows = _position_map(row_indices, s.shape[0], "row")[s.rows]
+    new_cols = _position_map(col_indices, s.shape[1], "column")[s.cols]
+    return _renumbered(s, (row_indices.shape[0], col_indices.shape[0]), new_rows, new_cols)

@@ -66,33 +66,10 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    @property
-    def n_rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.data.shape[1]
-
     def item(self) -> float:
         if self.data.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    @staticmethod
-    def zeros(rows: int, cols: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros((rows, cols)), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(rows: int, cols: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones((rows, cols)), requires_grad=requires_grad)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

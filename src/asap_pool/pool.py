@@ -44,7 +44,7 @@ from .engine import (
     sparse_zero_diagonal,
     spspmm,
 )
-from .graphs import Graph, GraphBatch, h_hop_membership, normalize_gcn
+from .graphs import Graph, h_hop_membership, normalize_gcn
 from .layers import (
     ATTENTION_KINDS,
     AttentionParams,
@@ -61,14 +61,12 @@ __all__ = [
     "PoolConfig",
     "PoolParams",
     "PooledBatch",
-    "PooledGraph",
     "form_clusters",
     "score_clusters",
     "select_top",
     "coarsen_adjacency",
     "asap_pool_batch",
     "asap_pool",
-    "pooled_batch_as_graph_batch",
 ]
 
 FITNESS_KINDS = ("LEConv", "BasicLEConv", "GCN")
@@ -145,20 +143,6 @@ class PooledBatch:
     assignment: SparseMatrix  # Ŝ: N x ⌈kN⌉ membership columns of the survivors
     membership: SparseMatrix  # S: N x N full membership (rows nodes, cols clusters)
     clusters: Tensor | None  # X^c when computed (aggregation != "None")
-
-
-@dataclass
-class PooledGraph:
-    """Single-graph pooling result."""
-
-    features: Tensor
-    adjacency: SparseMatrix
-    selected: np.ndarray
-    fitness: Tensor
-    assignment: SparseMatrix
-    membership: SparseMatrix
-    clusters: Tensor | None
-    label: int | None = None
 
 
 def form_clusters(
@@ -319,28 +303,7 @@ def asap_pool_batch(
     )
 
 
-def asap_pool(graph: Graph, params: PoolParams, config: PoolConfig) -> PooledGraph:
-    """One pooling step over a single graph."""
+def asap_pool(graph: Graph, params: PoolParams, config: PoolConfig) -> PooledBatch:
+    """One pooling step over a single graph (a batch of one)."""
     ids = np.zeros(graph.n_nodes, dtype=np.int64)
-    pooled = asap_pool_batch(graph.features, graph.adjacency, ids, 1, params, config)
-    return PooledGraph(
-        features=pooled.features,
-        adjacency=pooled.adjacency,
-        selected=pooled.selected,
-        fitness=pooled.fitness,
-        assignment=pooled.assignment,
-        membership=pooled.membership,
-        clusters=pooled.clusters,
-        label=graph.label,
-    )
-
-
-def pooled_batch_as_graph_batch(pooled: PooledBatch, labels=None) -> GraphBatch:
-    """View a pooled batch as a plain batch for the next layer."""
-    return GraphBatch(
-        adjacency=pooled.adjacency,
-        features=pooled.features,
-        node_graph_ids=pooled.node_graph_ids,
-        n_graphs=pooled.n_graphs,
-        labels=labels,
-    )
+    return asap_pool_batch(graph.features, graph.adjacency, ids, 1, params, config)

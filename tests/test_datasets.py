@@ -137,6 +137,51 @@ def test_load_reports_line_of_inconsistent_attribute_width(tmp_path):
     assert "TOY_node_attributes.txt:3: inconsistent attribute widths" in str(exc.value)
 
 
+def test_load_reports_real_line_of_bad_graph_label_after_blank_line(tmp_path):
+    files = dict(BASE_FILES)
+    files["graph_labels"] = ["0", "", "x"]
+    write_fixture(tmp_path, "T", files)
+    with pytest.raises(TUFormatError) as exc:
+        load_tu_dataset(tmp_path, "T")
+    assert exc.value.line_no == 3
+    assert "T_graph_labels.txt:3: bad graph label" in str(exc.value)
+
+
+def test_load_reports_real_line_of_bad_node_label_after_blank_line(tmp_path):
+    files = {
+        "A": ["1, 2", "2, 1"],
+        "graph_indicator": ["1", "1", "1"],
+        "graph_labels": ["0"],
+        "node_labels": ["1", "", "2", "q"],
+    }
+    write_fixture(tmp_path, "T", files)
+    with pytest.raises(TUFormatError) as exc:
+        load_tu_dataset(tmp_path, "T")
+    assert exc.value.line_no == 4
+    assert "T_node_labels.txt:4: bad node label" in str(exc.value)
+
+
+def test_load_interleaved_graph_indicator(tmp_path):
+    # Graph 1 holds nodes 1, 3, 5 and graph 2 nodes 2, 4, 6; the edge lines mix both graphs.
+    files = {
+        "A": ["6, 2", "1, 3", "4, 6", "3, 5", "2, 6", "3, 1", "6, 4", "5, 3"],
+        "graph_indicator": ["1", "2", "1", "2", "1", "2"],
+        "graph_labels": ["0", "1"],
+        "node_attributes": ["1.0", "2.0", "3.0", "4.0", "5.0", "6.0"],
+    }
+    write_fixture(tmp_path, "T", files)
+    first, second = load_tu_dataset(tmp_path, "T").graphs
+    np.testing.assert_array_equal(first.features.data, [[1.0], [3.0], [5.0]])
+    np.testing.assert_array_equal(second.features.data, [[2.0], [4.0], [6.0]])
+    np.testing.assert_array_equal(
+        first.adjacency.to_dense(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    )
+    np.testing.assert_array_equal(
+        second.adjacency.to_dense(), [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+    )
+    assert (first.label, second.label) == (0, 1)
+
+
 def test_load_missing_file(tmp_path):
     (tmp_path / "TOY").mkdir()
     with pytest.raises(FileNotFoundError):

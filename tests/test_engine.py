@@ -10,22 +10,18 @@ from asap_pool.engine import (
     Tensor,
     add,
     concat_cols,
-    concat_rows,
     gather_rows,
     grad_check,
     hadamard,
     leaky_relu,
     matmul,
-    reduce_mean,
     reduce_sum,
     relu,
     rsqrt,
-    scale,
     segment_reduce,
     segment_softmax,
     sigmoid,
     sub,
-    tanh,
 )
 from asap_pool.engine.ops import scatter_add_rows
 from asap_pool.engine.tensor import ShapeError, TapeError
@@ -60,14 +56,6 @@ def test_three_dimensional_input_rejected():
         Tensor(np.ones((2, 2, 2)))
 
 
-def test_copy_has_fresh_storage():
-    t = Tensor(np.ones((2, 2)), requires_grad=True)
-    c = t.copy()
-    assert c.requires_grad
-    c.data[0, 0] = 9.0
-    assert t.data[0, 0] == 1.0
-
-
 def test_item_requires_single_entry():
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 1))).item()
@@ -92,14 +80,14 @@ def test_backward_inside_recording_context_rejected():
     x = Tensor(np.ones((1, 1)), requires_grad=True)
     with pytest.raises(TapeError):
         with Tape() as tape:
-            y = scale(x, 2.0)
+            y = add(x, x)
             tape.backward(y)
 
 
 def test_tape_consumed_after_backward():
     x = Tensor(np.ones((1, 1)), requires_grad=True)
     with Tape() as tape:
-        y = scale(x, 2.0)
+        y = add(x, x)
     tape.backward(y)
     with pytest.raises(TapeError):
         tape.backward(y)
@@ -170,10 +158,10 @@ def test_hadamard_column_broadcast_both_orders():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((3, 4))
     col = rng.standard_normal((3, 1))
-    left = hadamard(Tensor(col), Tensor(m))
-    right = hadamard(Tensor(m), Tensor(col))
-    np.testing.assert_allclose(left.data, col * m)
-    np.testing.assert_allclose(right.data, col * m)
+    np.testing.assert_allclose(hadamard(Tensor(col), Tensor(m)).data, col * m)
+    # Only the column may come first; the matrix-first order is rejected.
+    with pytest.raises(ShapeError):
+        hadamard(Tensor(m), Tensor(col))
 
 
 def test_hadamard_rejects_incompatible_shapes():
@@ -189,7 +177,6 @@ def test_elementwise_activations_match_numpy():
         leaky_relu(Tensor(x)).data, np.where(x > 0, x, 0.2 * x)
     )
     np.testing.assert_allclose(sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
-    np.testing.assert_allclose(tanh(Tensor(x)).data, np.tanh(x))
     pos = np.abs(x) + 0.5
     np.testing.assert_allclose(rsqrt(Tensor(pos)).data, pos ** -0.5)
 
@@ -203,16 +190,12 @@ def test_reductions_match_numpy():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 3))
     assert reduce_sum(Tensor(x)).item() == pytest.approx(x.sum())
-    assert reduce_mean(Tensor(x)).item() == pytest.approx(x.mean())
 
 
 def test_concat_and_gather_match_numpy():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((2, 3))
     b = rng.standard_normal((4, 3))
-    np.testing.assert_allclose(
-        concat_rows(Tensor(a), Tensor(b)).data, np.vstack([a, b])
-    )
     c = rng.standard_normal((2, 5))
     np.testing.assert_allclose(
         concat_cols(Tensor(a), Tensor(c)).data, np.hstack([a, c])
@@ -347,7 +330,7 @@ def test_gradient_matmul_chain():
 def test_gradient_elementwise_ops():
     rng = np.random.default_rng(8)
     x = rand(rng, 4, 3)
-    for op in (relu, leaky_relu, sigmoid, tanh):
+    for op in (relu, leaky_relu, sigmoid):
         err = grad_check(lambda: reduce_sum(op(x)), [x])
         assert err < 1e-6
 
@@ -367,11 +350,11 @@ def test_gradient_hadamard_broadcast():
 
 def test_gradient_concat_and_gather():
     rng = np.random.default_rng(11)
-    a, b = rand(rng, 2, 3), rand(rng, 3, 3)
+    a, b = rand(rng, 5, 3), rand(rng, 5, 2)
     idx = np.array([4, 0, 0, 3])
 
     def f():
-        stacked = concat_rows(a, b)
+        stacked = concat_cols(a, b)
         return reduce_sum(hadamard(gather_rows(stacked, idx), gather_rows(stacked, idx)))
 
     assert grad_check(f, [a, b]) < 1e-6

@@ -7,7 +7,6 @@ from _dense_reference import dense_pool
 from asap_pool.engine import Tensor, grad_check, reduce_sum
 from asap_pool.graphs import batch_graphs, graph_from_edges, h_hop_membership, normalize_gcn
 from asap_pool.layers import AttentionParams, GCNParams, LEConvParams
-from asap_pool.model import readout
 from asap_pool.pool import (
     AGGREGATION_MODES,
     FITNESS_KINDS,
@@ -16,7 +15,6 @@ from asap_pool.pool import (
     asap_pool,
     asap_pool_batch,
     form_clusters,
-    pooled_batch_as_graph_batch,
     select_top,
     top_count,
 )
@@ -328,25 +326,6 @@ def test_one_hop_membership_is_normalized_adjacency_pattern(soft_edges):
         np.testing.assert_array_equal(member_ids, reference.cols)
         pooled = asap_pool_batch(x, a, ids, batch.n_graphs, params, config, a_norm)
         x, a, ids = pooled.features, pooled.adjacency, pooled.node_graph_ids
-
-
-def test_pooled_batch_to_graph_batch_round_trip():
-    rng = np.random.default_rng(6)
-    graphs = [random_connected_graph(rng, 5) for _ in range(3)]
-    batch = batch_graphs(graphs)
-    config = PoolConfig()
-    params = PoolParams.init(rng, 3, config)
-    pooled = asap_pool_batch(
-        batch.features, batch.adjacency, batch.node_graph_ids, batch.n_graphs, params, config
-    )
-    as_batch = pooled_batch_as_graph_batch(pooled, labels=np.array([0, 1, 0]))
-    assert as_batch.n_graphs == 3
-    np.testing.assert_array_equal(as_batch.node_graph_ids, pooled.node_graph_ids)
-    np.testing.assert_allclose(as_batch.features.data, pooled.features.data)
-    assert as_batch.labels.tolist() == [0, 1, 0]
-    # Downstream readout accepts the pooled batch directly.
-    summary = readout(as_batch.features, as_batch.node_graph_ids, as_batch.n_graphs)
-    assert summary.data.shape == (3, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from asap_pool.engine import (
     SparseMatrix,
     Tape,
     Tensor,
-    densify,
     grad_check,
     hadamard,
     matmul,
@@ -22,7 +21,6 @@ from asap_pool.engine import (
     sparse_select_columns,
     sparse_submatrix,
     sparse_transpose,
-    sparse_values,
     sparse_zero_diagonal,
     spmm,
     spspmm,
@@ -35,6 +33,18 @@ def random_sparse(rng, rows, cols, density=0.4, requires_grad=False):
     r, c = np.nonzero(mask)
     vals = rng.standard_normal(r.size)
     return SparseMatrix.from_coo((rows, cols), r, c, vals, requires_grad=requires_grad)
+
+
+def weighted_sum(s):
+    """``sum((s @ W) * V)`` for fixed random ``W``, ``V``: entry ``(i, j)`` gets weight ``V[i]·W[j]``.
+
+    Every stored entry carries its own upstream gradient, so a backward that
+    routes gradients to the wrong entries cannot pass a gradient check.
+    """
+    rng = np.random.default_rng(99)
+    w = Tensor(rng.standard_normal((s.shape[1], 3)))
+    v = Tensor(rng.standard_normal((s.shape[0], 3)))
+    return reduce_sum(hadamard(spmm(s, w), v))
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +81,6 @@ def test_to_dense_matches_scipy():
     s = random_sparse(rng, 5, 7)
     ref = sp.coo_matrix((s.values, (s.rows, s.cols)), shape=(5, 7)).toarray()
     np.testing.assert_allclose(s.to_dense(), ref)
-
-
-def test_densify_matches_to_dense():
-    rng = np.random.default_rng(1)
-    s = random_sparse(rng, 4, 4)
-    np.testing.assert_allclose(densify(s).data, s.to_dense())
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +151,11 @@ def test_spspmm_gradient_is_dense_product_sampled_on_each_pattern():
     )
     with Tape() as tape:
         out = spspmm(a, b)
-        upstream = rng.standard_normal((out.nnz, 1))
-        loss = reduce_sum(hadamard(sparse_values(out), Tensor(upstream)))
+        # Upstream gradient G on out's pattern: d/d out[i, j] of sum((out @ I) * G) is G[i, j].
+        g = np.zeros(out.shape)
+        g[out.rows, out.cols] = rng.standard_normal(out.nnz)
+        loss = reduce_sum(hadamard(spmm(out, Tensor(np.eye(out.shape[1]))), Tensor(g)))
     grads = tape.backward(loss)
-    g = np.zeros(out.shape)
-    g[out.rows, out.cols] = upstream[:, 0]
     np.testing.assert_allclose(grads[a], (g @ b.to_dense().T)[a.rows, a.cols], atol=1e-12)
     np.testing.assert_allclose(grads[b], (a.to_dense().T @ g)[b.rows, b.cols], atol=1e-12)
     assert np.all(grads[a][a.cols == 2] == 0.0)
@@ -237,14 +241,6 @@ def test_submatrix_matches_dense_fancy_index():
     )
 
 
-def test_sparse_make_and_values_round_trip():
-    rng = np.random.default_rng(11)
-    s = random_sparse(rng, 4, 4)
-    vals = sparse_values(s)
-    rebuilt = sparse_make((4, 4), s.rows, s.cols, vals)
-    np.testing.assert_allclose(rebuilt.to_dense(), s.to_dense())
-
-
 # ---------------------------------------------------------------------------
 # Gradients through sparse ops
 
@@ -261,7 +257,7 @@ def test_gradient_spspmm_pattern_restricted():
     rng = np.random.default_rng(13)
     a = random_sparse(rng, 4, 5, requires_grad=True)
     b = random_sparse(rng, 5, 4, requires_grad=True)
-    err = grad_check(lambda: reduce_sum(densify(spspmm(a, b))), [a, b])
+    err = grad_check(lambda: weighted_sum(spspmm(a, b)), [a, b])
     assert err < 1e-7
 
 
@@ -272,24 +268,35 @@ def test_gradient_structural_ops():
     c = Tensor(rng.uniform(0.5, 2.0, (5, 1)), requires_grad=True)
 
     checks = [
-        (lambda: reduce_sum(densify(sparse_transpose(s))), [s]),
+        (lambda: weighted_sum(sparse_transpose(s)), [s]),
         (lambda: reduce_sum(sparse_row_sums(s)), [s]),
-        (lambda: reduce_sum(densify(sparse_scale_entries(s, r, c))), [s, r, c]),
-        (lambda: reduce_sum(densify(sparse_add_identity(s))), [s]),
-        (lambda: reduce_sum(densify(sparse_zero_diagonal(s))), [s]),
-        (
-            lambda: reduce_sum(densify(sparse_select_columns(s, np.array([3, 0])))),
-            [s],
-        ),
-        (
-            lambda: reduce_sum(
-                densify(sparse_submatrix(s, np.array([1, 4]), np.array([0, 2])))
-            ),
-            [s],
-        ),
+        (lambda: weighted_sum(sparse_scale_entries(s, r, c)), [s, r, c]),
+        (lambda: weighted_sum(sparse_add_identity(s)), [s]),
+        (lambda: weighted_sum(sparse_zero_diagonal(s)), [s]),
+        (lambda: weighted_sum(sparse_select_columns(s, np.array([3, 0]))), [s]),
+        (lambda: weighted_sum(sparse_submatrix(s, np.array([1, 4]), np.array([0, 2]))), [s]),
     ]
     for f, params in checks:
         assert grad_check(f, params) < 1e-7
+
+
+def test_structural_ops_that_take_no_entries():
+    rng = np.random.default_rng(16)
+    s = random_sparse(rng, 5, 5, requires_grad=True)
+    empty = SparseMatrix((4, 6), [], [], [], requires_grad=True)
+    diagonal = SparseMatrix((3, 3), [0, 1, 2], [0, 1, 2], [1.0, -2.0, 3.0], requires_grad=True)
+    cases = [
+        (s, lambda: sparse_select_columns(s, np.zeros(0, dtype=np.int64)), (5, 0)),
+        (empty, lambda: sparse_submatrix(empty, np.array([3, 0]), np.array([1, 5, 2])), (2, 3)),
+        (diagonal, lambda: sparse_zero_diagonal(diagonal), (3, 3)),
+    ]
+    for source, op, shape in cases:
+        with Tape() as tape:
+            out = op()
+            loss = weighted_sum(out)
+        assert out.shape == shape and out.nnz == 0
+        grads = tape.backward(loss)
+        np.testing.assert_array_equal(grads[source], np.zeros(source.nnz))
 
 
 def test_gradient_flows_through_sparse_make():
@@ -302,6 +309,10 @@ def test_gradient_flows_through_sparse_make():
         s = sparse_make((4, 4), base.rows, base.cols, vals)
         return reduce_sum(spmm(s, weight))
 
+    made = sparse_make((4, 4), base.rows, base.cols, vals)
+    expected = np.zeros((4, 4))
+    expected[base.rows, base.cols] = vals.data[:, 0]
+    np.testing.assert_array_equal(made.to_dense(), expected)
     assert grad_check(f, [vals, weight]) < 1e-7
 
 
