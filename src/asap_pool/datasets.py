@@ -79,6 +79,17 @@ def _numbered_lines(path: Path) -> list[tuple[int, str]]:
     return [(i + 1, line) for i, line in enumerate(path.read_text().splitlines()) if line.strip()]
 
 
+def _check_count(path, lines: list[tuple[int, str]], expected: int, what: str) -> None:
+    """Reject a file without exactly ``expected`` entries.
+
+    A surplus is reported at the line of the first extra entry, a shortfall
+    at the last entry's line (line 1 for a file with none).
+    """
+    if len(lines) != expected:
+        line_no = lines[expected][0] if len(lines) > expected else (lines[-1][0] if lines else 1)
+        raise TUFormatError(path, line_no, f"expected {expected} {what}, got {len(lines)}")
+
+
 def _parse_int(path, line_no, text, what) -> int:
     try:
         return int(text.strip())
@@ -108,10 +119,7 @@ def load_tu_dataset(directory, name: str) -> Dataset:
 
     labels_path = Path(f"{prefix}_graph_labels.txt")
     label_lines = _numbered_lines(labels_path)
-    if len(label_lines) != n_graphs:
-        raise TUFormatError(
-            labels_path, len(label_lines), f"expected {n_graphs} graph labels, got {len(label_lines)}"
-        )
+    _check_count(labels_path, label_lines, n_graphs, "graph labels")
     raw_labels = np.array(
         [_parse_int(labels_path, i, line, "graph label") for i, line in label_lines], dtype=np.int64
     )
@@ -181,15 +189,15 @@ def load_tu_dataset(directory, name: str) -> Dataset:
 def _node_features(prefix, n_nodes: int, edge_pairs) -> np.ndarray:
     attributes_path = Path(f"{prefix}_node_attributes.txt")
     if attributes_path.is_file():
+        lines = _numbered_lines(attributes_path)
+        _check_count(attributes_path, lines, n_nodes, "attribute rows")
         rows, row_line_nos = [], []
-        for i, line in _numbered_lines(attributes_path):
+        for i, line in lines:
             try:
                 rows.append([float(tok) for tok in line.split(",")])
             except ValueError:
                 raise TUFormatError(attributes_path, i, f"bad attribute row {line.strip()!r}") from None
             row_line_nos.append(i)
-        if len(rows) != n_nodes:
-            raise TUFormatError(attributes_path, len(rows), f"expected {n_nodes} attribute rows")
         for row, line_no in zip(rows, row_line_nos):
             if len(row) != len(rows[0]):
                 raise TUFormatError(
@@ -202,8 +210,7 @@ def _node_features(prefix, n_nodes: int, edge_pairs) -> np.ndarray:
     labels_path = Path(f"{prefix}_node_labels.txt")
     if labels_path.is_file():
         lines = _numbered_lines(labels_path)
-        if len(lines) != n_nodes:
-            raise TUFormatError(labels_path, len(lines), f"expected {n_nodes} node labels")
+        _check_count(labels_path, lines, n_nodes, "node labels")
         raw = np.array([_parse_int(labels_path, i, line, "node label") for i, line in lines], dtype=np.int64)
         values = np.unique(raw)
         onehot = np.zeros((n_nodes, values.shape[0]))

@@ -238,22 +238,21 @@ def _segment_layout(segment_ids, n_rows: int, n_segments: int | None):
 
 
 def segment_reduce(kind: str, x: Tensor, segment_ids, n_segments: int | None = None) -> Tensor:
-    """Per-segment ``sum``/``mean``/``max`` over rows of ``x``.
+    """Per-segment ``mean``/``max`` over rows of ``x``; every segment must be non-empty.
 
-    Returns one row per segment. ``sum`` tolerates empty segments (zero rows);
-    ``mean`` and ``max`` reject them. ``max`` routes its gradient to the
-    lowest row index among tied maxima, which keeps it deterministic; that
-    tie-break is found in backward, so the forward pass only takes maxima.
+    Returns one row per segment. ``max`` routes its gradient to the lowest
+    row index among tied maxima, which keeps it deterministic; that tie-break
+    is found in backward, so the forward pass only takes maxima.
     """
-    if kind not in ("sum", "mean", "max"):
+    if kind not in ("mean", "max"):
         raise ValueError(f"unknown segment_reduce kind {kind!r}")
     seg, n_segments, counts, starts = _segment_layout(segment_ids, x.data.shape[0], n_segments)
+    if np.any(counts == 0):
+        raise EngineError(f"segment_reduce {kind} over an empty segment")
     data = x.data
     n, d = data.shape
 
     if kind == "max":
-        if np.any(counts == 0):
-            raise EngineError("segment_reduce max over an empty segment")
         # Running max into flat (segment, column) slots: exact, so it equals
         # a per-segment reduce bit for bit.
         maxes = np.full(n_segments * d, -np.inf)
@@ -274,26 +273,7 @@ def segment_reduce(kind: str, x: Tensor, segment_ids, n_segments: int | None = N
         record(out, (x,), backward)
         return out
 
-    if kind == "mean" and np.any(counts == 0):
-        raise EngineError("segment_reduce mean over an empty segment")
-
-    if np.any(counts == 0):
-        sums = np.zeros((n_segments, d))
-        nonempty = counts > 0
-        if np.any(nonempty):
-            sums[nonempty] = np.add.reduceat(data, starts[nonempty], axis=0)
-    else:
-        sums = np.add.reduceat(data, starts, axis=0) if n_segments else np.zeros((0, d))
-
-    if kind == "sum":
-        out = _out(sums)
-
-        def backward(grad, accumulate):
-            accumulate(x, grad[seg])
-
-        record(out, (x,), backward)
-        return out
-
+    sums = np.add.reduceat(data, starts, axis=0) if n_segments else np.zeros((0, d))
     inv_counts = 1.0 / counts
     out = _out(sums * inv_counts[:, None])
 

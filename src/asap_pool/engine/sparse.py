@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import ops
-from .tensor import EngineError, ShapeError, Tensor, record
+from .tensor import EngineError, ShapeError, Tensor, active_tape, record
 
 __all__ = [
     "SparseMatrix",
+    "ClusterLayout",
+    "cluster_sum",
+    "cluster_max",
     "spmm",
     "spspmm",
     "sparse_make",
@@ -158,6 +162,21 @@ def _sample(product: sp.spmatrix, pattern: SparseMatrix) -> np.ndarray:
     return np.where(keys[pos] == wanted, product.data[pos], 0.0)
 
 
+# Rows gathered per block by ``_sampled_dot``, counted in entries (rows x
+# columns): small blocks stay in cache, where nnz x d temporaries would not.
+_SAMPLE_BLOCK = 1 << 15
+
+
+def _sampled_dot(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``(a @ b.T)[rows[k], cols[k]]`` for every ``k``, without forming the product (an SDDMM)."""
+    out = np.empty(rows.shape[0])
+    step = max(1, _SAMPLE_BLOCK // max(1, a.shape[1]))
+    for lo in range(0, rows.shape[0], step):
+        hi = lo + step
+        out[lo:hi] = np.einsum("ij,ij->i", a[rows[lo:hi]], b[cols[lo:hi]])
+    return out
+
+
 def _sparse_out(shape, rows, cols, values) -> SparseMatrix:
     if ops.DEBUG_CHECKS and not np.all(np.isfinite(values)):
         raise EngineError("non-finite values produced by a sparse operation")
@@ -175,7 +194,7 @@ def spmm(s: SparseMatrix, d: Tensor) -> Tensor:
         if d.requires_grad:
             accumulate(d, s.csr().T @ grad)
         if s.requires_grad:
-            accumulate(s, (grad[s.rows] * d.data[s.cols]).sum(axis=1))
+            accumulate(s, _sampled_dot(grad, s.rows, d.data, s.cols))
 
     record(out, (s, d), backward)
     return out
@@ -351,3 +370,162 @@ def sparse_submatrix(s: SparseMatrix, row_indices, col_indices) -> SparseMatrix:
     new_rows = _position_map(row_indices, s.shape[0], "row")[s.rows]
     new_cols = _position_map(col_indices, s.shape[1], "column")[s.cols]
     return _renumbered(s, (row_indices.shape[0], col_indices.shape[0]), new_rows, new_cols)
+
+
+# np.add.reduceat adds a segment's first row to numpy's sum of the others,
+# and numpy adds fewer than eight numbers left to right but eight or more
+# with eight interleaved accumulators. So the rest of a cluster of up to
+# this many members is a left-to-right sum.
+_LEFT_TO_RIGHT_MEMBERS = 8
+_NEGATIVE_ZERO_BITS = np.float64(-0.0).view(np.int64)
+
+
+def _compressed_times_dense(kernel, shape, indptr, indices, values, dense: np.ndarray) -> np.ndarray:
+    """``M @ dense`` by scipy's own ``csr_matvecs``/``csc_matvecs`` kernel, for ``M`` given by its arrays.
+
+    Building a scipy matrix checks its index arrays on every call, which
+    costs more than the product itself on small graphs; a cluster layout's
+    arrays were checked once, so its products call the kernel directly.
+    """
+    out = np.zeros((shape[0], dense.shape[1]))
+    kernel(shape[0], shape[1], dense.shape[1], indptr, indices, values,
+           np.ascontiguousarray(dense).ravel(), out.ravel())
+    return out
+
+
+class ClusterLayout:
+    """The (cluster, member) pairs of one pooling level, indexed for the cluster ops.
+
+    ``pattern`` is square; its row ``c`` lists the members of the cluster
+    centred on node ``c`` in ascending order, and no row is empty. Pair ``k``
+    is ``(cluster_ids[k], member_ids[k])`` in the pattern's row-major order.
+    Built once per level and read by :func:`cluster_sum` and
+    :func:`cluster_max`, the layout holds:
+
+    * the pattern's CSR index (``index``), each cluster's first pair
+      (``starts``) and member count (``counts``);
+    * the CSR index of every pair but each cluster's first (``rest_index``)
+      and those pairs' positions (``rest_pairs``);
+    * the clusters of more than eight members (``wide``);
+    * the clusters by size, largest first (``by_size``), their first pairs
+      (``heads``) and, for each ``p``, how many have more than ``p`` members
+      (``active``).
+    """
+
+    __slots__ = (
+        "index", "n", "cluster_ids", "member_ids", "starts", "counts", "rest_pairs", "rest_index",
+        "wide", "by_size", "heads", "active",
+    )
+
+    def __init__(self, pattern: SparseMatrix):
+        n = pattern.shape[0]
+        if pattern.shape[1] != n:
+            raise ShapeError("a cluster layout needs a square pattern")
+        self.index = indices, indptr = pattern.csr_index()
+        counts = np.diff(indptr)
+        if np.any(counts == 0):
+            raise EngineError("every cluster needs at least one member")
+        self.n, self.counts = n, counts
+        self.cluster_ids, self.member_ids = pattern.rows, pattern.cols
+        self.starts = indptr[:-1]
+        rest = np.ones(pattern.nnz, dtype=bool)
+        rest[self.starts] = False
+        self.rest_pairs = np.flatnonzero(rest)
+        self.rest_index = (indices[self.rest_pairs], indptr - np.arange(n + 1, dtype=indptr.dtype))
+        self.wide = np.flatnonzero(counts > _LEFT_TO_RIGHT_MEMBERS)
+        self.by_size = np.argsort(-counts, kind="stable")
+        self.heads = self.starts[self.by_size]
+        self.active = (n - np.cumsum(np.bincount(counts))[:-1]).tolist()
+
+
+def cluster_sum(layout: ClusterLayout, weights: Tensor, x: Tensor) -> Tensor:
+    """Cluster features ``X^c = Sᵀ X``: row ``c`` sums ``weights[k] * x[member_ids[k]]`` over cluster ``c``'s pairs.
+
+    Rounding contract: the result equals
+    ``np.add.reduceat(weights * x[member_ids], starts, axis=0)`` bit for bit,
+    signed zeros included. Fitness of automorphic nodes ties exactly only
+    because the cluster features round like the dense reference, and
+    selection breaks exact ties by index; any other summation order (a plain
+    ``spmm``, say) moves fitness by ~1e-16 and reorders the survivors.
+
+    reduceat adds a cluster's first product to the sum of the others, which
+    numpy adds left to right for clusters of up to eight members, as scipy's
+    CSR product does. The two sums start from -0.0 and +0.0 respectively, so
+    they differ only where every product of a cluster column is -0.0; such
+    clusters, and those of more than eight members, go through reduceat on
+    their own pairs only.
+
+    Backward: ``dX = S G`` is one CSR product and the weight gradient is
+    ``G Xᵀ`` sampled on the pairs; neither forms a pairs x d tape node.
+    """
+    n = layout.n
+    data = x.data
+    if data.shape[0] != n:
+        raise ShapeError(f"cluster_sum needs {n} feature rows, got {data.shape[0]}")
+    if weights.data.shape != (layout.member_ids.shape[0], 1):
+        raise ShapeError(f"weights must be {layout.member_ids.shape[0]}x1, got {weights.data.shape}")
+    w = weights.data[:, 0]
+    members, starts = layout.member_ids, layout.starts
+    firsts = w[starts, None] * data[members[starts]]
+    rest_indices, rest_indptr = layout.rest_index
+    sums = firsts + _compressed_times_dense(
+        _sparsetools.csr_matvecs, (n, n), rest_indptr, rest_indices, w[layout.rest_pairs], data
+    )
+    exact = layout.wide
+    negative_zero = firsts.view(np.int64) == _NEGATIVE_ZERO_BITS
+    if negative_zero.any():
+        exact = np.union1d(exact, np.flatnonzero(negative_zero.any(axis=1)))
+    if exact.size:
+        counts = layout.counts[exact]
+        offsets = np.cumsum(counts) - counts
+        pairs = np.repeat(starts[exact] - offsets, counts) + np.arange(offsets[-1] + counts[-1])
+        sums[exact] = np.add.reduceat(w[pairs, None] * data[members[pairs]], offsets, axis=0)
+    out = ops._out(sums)
+
+    def backward(grad, accumulate):
+        if x.requires_grad:
+            # S^T's CSR arrays read as CSC are S itself.
+            indices, indptr = layout.index
+            accumulate(x, _compressed_times_dense(_sparsetools.csc_matvecs, (n, n), indptr, indices, w, grad))
+        if weights.requires_grad:
+            accumulate(weights, _sampled_dot(grad, layout.cluster_ids, data, members)[:, None])
+
+    record(out, (weights, x), backward)
+    return out
+
+
+def cluster_max(x: Tensor, layout: ClusterLayout) -> Tensor:
+    """Column-wise maximum of each cluster's member rows of ``x`` (the M2T master query).
+
+    The forward scans member positions: position ``p`` updates the
+    ``active[p]`` largest clusters, so no pairs x d array is formed. When the
+    call is taped, the scan also keeps the first position that attains each
+    maximum, which holds the lowest-index such member (members ascend);
+    backward routes each (cluster, column) gradient there with one scatter
+    over ``x``'s n x d slots.
+    """
+    n = layout.n
+    data = x.data
+    if data.shape[0] != n:
+        raise ShapeError(f"cluster_max needs {n} feature rows, got {data.shape[0]}")
+    members, heads, active = layout.member_ids, layout.heads, layout.active
+    peak = data[members[heads]]
+    position = np.zeros(peak.shape, dtype=np.intp) if x.requires_grad and active_tape() else None
+    for p in range(1, len(active)):
+        k = active[p]
+        candidates = data[members[heads[:k] + p]]
+        if position is not None:
+            np.copyto(position[:k], p, where=candidates > peak[:k])
+        np.maximum(peak[:k], candidates, out=peak[:k])
+    maxes = np.empty_like(peak)
+    maxes[layout.by_size] = peak
+    out = ops._out(maxes)
+
+    def backward(grad, accumulate):
+        d = data.shape[1]
+        slots = (members[heads[:, None] + position] * d + np.arange(d)).ravel()
+        scattered = np.bincount(slots, weights=grad[layout.by_size].ravel(), minlength=n * d)
+        accumulate(x, scattered.reshape(n, d))
+
+    record(out, (x,), backward)
+    return out

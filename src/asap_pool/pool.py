@@ -29,11 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    ClusterLayout,
     SparseMatrix,
     Tensor,
+    cluster_max,
+    cluster_sum,
     gather_rows,
     hadamard,
-    segment_reduce,
     segment_softmax,
     sigmoid,
     sparse_add_identity,
@@ -163,34 +165,21 @@ def form_clusters(
     ``(cluster_ids, member_ids)`` pattern.
     """
     n = a.shape[0]
-    if config.h == 1:
-        # The 1-hop balls (self included) are exactly the pattern of A + I,
-        # which the renormalized adjacency already stores.
-        cluster_ids, member_ids = a_norm.rows, a_norm.cols
-    else:
-        pattern = h_hop_membership(a, config.h)
-        cluster_ids, member_ids = pattern.rows, pattern.cols
+    # The 1-hop balls (self included) are exactly the pattern of A + I,
+    # which the renormalized adjacency already stores.
+    layout = ClusterLayout(a_norm if config.h == 1 else h_hop_membership(a, config.h))
+    cluster_ids, member_ids = layout.cluster_ids, layout.member_ids
 
     transformed = gcn_forward(x, a_norm, params.intra_gcn)
     if config.attention == "M2T":
-        members = gather_rows(transformed, member_ids)
-        queries = segment_reduce("max", members, cluster_ids, n)
+        queries = cluster_max(transformed, layout)
     elif config.attention == "T2T":
         queries = transformed
     else:
         queries = None
     logits = attention_scores(params.attention, transformed, cluster_ids, member_ids, queries)
     weights = segment_softmax(logits, cluster_ids, n)
-
-    clusters = None
-    if need_cluster_features:
-        # Keep this arithmetic (row scale, then a per-cluster sum in member
-        # order): fitness of automorphic nodes ties exactly only because it
-        # rounds like the dense reference, and selection breaks exact ties by
-        # index. An spmm or any other summation order moves fitness by ~1e-16
-        # and reorders the survivors.
-        weighted = hadamard(weights, gather_rows(x, member_ids))
-        clusters = segment_reduce("sum", weighted, cluster_ids, n)
+    clusters = cluster_sum(layout, weights, x) if need_cluster_features else None
 
     # Pattern sorted by (cluster, member) is exactly the transpose's canonical
     # order, so build S^T first and flip it.

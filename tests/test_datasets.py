@@ -161,6 +161,36 @@ def test_load_reports_real_line_of_bad_node_label_after_blank_line(tmp_path):
     assert "T_node_labels.txt:4: bad node label" in str(exc.value)
 
 
+def test_load_reports_line_of_surplus_graph_label(tmp_path):
+    files = dict(BASE_FILES)
+    files["graph_labels"] = ["0", "", "1", "1"]
+    write_fixture(tmp_path, "T", files)
+    with pytest.raises(TUFormatError) as exc:
+        load_tu_dataset(tmp_path, "T")
+    assert exc.value.line_no == 4
+    assert "T_graph_labels.txt:4: expected 2 graph labels, got 3" in str(exc.value)
+
+
+def test_load_reports_last_line_when_node_labels_are_missing(tmp_path):
+    files = dict(BASE_FILES)
+    files["node_labels"] = ["7", "5", "", "7", "5"]
+    write_fixture(tmp_path, "T", files)
+    with pytest.raises(TUFormatError) as exc:
+        load_tu_dataset(tmp_path, "T")
+    assert exc.value.line_no == 5
+    assert "T_node_labels.txt:5: expected 5 node labels, got 4" in str(exc.value)
+
+
+def test_load_reports_line_of_surplus_attribute_row(tmp_path):
+    files = dict(BASE_FILES)
+    files["node_attributes"] = ["1.0", "", "2.0", "3.0", "4.0", "5.0", "6.0"]
+    write_fixture(tmp_path, "T", files)
+    with pytest.raises(TUFormatError) as exc:
+        load_tu_dataset(tmp_path, "T")
+    assert exc.value.line_no == 7
+    assert "T_node_attributes.txt:7: expected 5 attribute rows, got 6" in str(exc.value)
+
+
 def test_load_interleaved_graph_indicator(tmp_path):
     # Graph 1 holds nodes 1, 3, 5 and graph 2 nodes 2, 4, 6; the edge lines mix both graphs.
     files = {

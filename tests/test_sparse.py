@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asap_pool.engine import (
+    ClusterLayout,
     SparseMatrix,
     Tape,
     Tensor,
+    cluster_max,
+    cluster_sum,
     grad_check,
     hadamard,
     matmul,
@@ -25,7 +28,7 @@ from asap_pool.engine import (
     spmm,
     spspmm,
 )
-from asap_pool.engine.tensor import EngineError
+from asap_pool.engine.tensor import EngineError, ShapeError
 
 
 def random_sparse(rng, rows, cols, density=0.4, requires_grad=False):
@@ -45,6 +48,14 @@ def weighted_sum(s):
     w = Tensor(rng.standard_normal((s.shape[1], 3)))
     v = Tensor(rng.standard_normal((s.shape[0], 3)))
     return reduce_sum(hadamard(spmm(s, w), v))
+
+
+def dense_weighted_sum(t):
+    """``sum((t @ W) * V)`` for fixed random ``W``, ``V``: every entry of ``t`` gets its own upstream value."""
+    rng = np.random.default_rng(98)
+    w = Tensor(rng.standard_normal((t.data.shape[1], 3)))
+    v = Tensor(rng.standard_normal((t.data.shape[0], 3)))
+    return reduce_sum(hadamard(matmul(t, w), v))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +260,7 @@ def test_gradient_spmm_both_operands():
     rng = np.random.default_rng(12)
     s = random_sparse(rng, 5, 4, requires_grad=True)
     d = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    err = grad_check(lambda: reduce_sum(spmm(s, d)), [s, d])
+    err = grad_check(lambda: dense_weighted_sum(spmm(s, d)), [s, d])
     assert err < 1e-7
 
 
@@ -324,6 +335,143 @@ def test_backward_accumulates_when_sparse_used_twice():
     grads = tape.backward(y)
     # d/dv of (v*1)^2 summed per entry = 2v
     np.testing.assert_allclose(grads[s].ravel(), [4.0, 6.0])
+
+
+# ---------------------------------------------------------------------------
+# Cluster ops
+
+
+def layout_of(member_lists):
+    """Layout whose cluster ``c`` has the ascending members ``member_lists[c]``."""
+    n = len(member_lists)
+    rows = np.repeat(np.arange(n), [len(m) for m in member_lists])
+    cols = np.concatenate([np.asarray(m, dtype=np.int64) for m in member_lists])
+    return ClusterLayout(SparseMatrix((n, n), rows, cols, np.ones(rows.size)))
+
+
+def random_layout(rng, sizes):
+    """Clusters with the given member counts first, then 1-3 members each, over enough nodes."""
+    n = max(len(sizes), max(sizes))
+    sizes = list(sizes) + list(rng.integers(1, min(n, 3) + 1, n - len(sizes)))
+    return layout_of([np.sort(rng.choice(n, size, replace=False)) for size in sizes])
+
+
+def mixed_values(rng, shape):
+    """Random signs and magnitudes over sixteen decades, with some exact zeros of either sign."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    values[rng.random(shape) < 0.1] = -0.0
+    return values
+
+
+def test_cluster_sum_matches_loop():
+    rng = np.random.default_rng(20)
+    layout = random_layout(rng, [1, 2, 8, 9, 20])
+    w = rng.standard_normal(layout.member_ids.shape[0])
+    x = rng.standard_normal((layout.n, 3))
+    got = cluster_sum(layout, Tensor(w[:, None]), Tensor(x)).data
+    want = np.zeros_like(got)
+    for k, (c, m) in enumerate(zip(layout.cluster_ids, layout.member_ids)):
+        want[c] += w[k] * x[m]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 9, 20, 130])
+def test_cluster_sum_rounds_like_reduceat_at_each_cluster_size(size):
+    rng = np.random.default_rng(size)
+    layout = random_layout(rng, [size] * 3)
+    w = mixed_values(rng, layout.member_ids.shape[0])
+    x = mixed_values(rng, (layout.n, 4))
+    got = cluster_sum(layout, Tensor(w[:, None]), Tensor(x)).data
+    want = np.add.reduceat(w[:, None] * x[layout.member_ids], layout.starts, axis=0)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cluster_sum_keeps_negative_zero():
+    # Every product is -0.0: reduceat gives -0.0, a sum started from +0.0 would give +0.0.
+    layout = layout_of([[0, 1], [1], [0, 1, 2]])
+    x = np.array([[-0.0, 1.0], [-0.0, 2.0], [-0.0, 3.0]])
+    got = cluster_sum(layout, Tensor(np.ones((6, 1))), Tensor(x)).data
+    assert np.all(np.signbit(got[:, 0])) and np.all(got[:, 0] == 0.0)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    sizes=st.lists(st.sampled_from([1, 2, 3, 8, 9, 20, 27]), min_size=1, max_size=12),
+    d=st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_cluster_sum_rounds_like_reduceat(seed, sizes, d):
+    rng = np.random.default_rng(seed)
+    layout = random_layout(rng, sizes)
+    w = mixed_values(rng, layout.member_ids.shape[0])
+    x = mixed_values(rng, (layout.n, d))
+    got = cluster_sum(layout, Tensor(w[:, None]), Tensor(x)).data
+    want = np.add.reduceat(w[:, None] * x[layout.member_ids], layout.starts, axis=0)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cluster_max_matches_loop():
+    rng = np.random.default_rng(22)
+    layout = random_layout(rng, [1, 2, 8, 9, 20])
+    x = rng.standard_normal((layout.n, 3))
+    got = cluster_max(Tensor(x), layout).data
+    for c in range(layout.n):
+        np.testing.assert_array_equal(got[c], x[layout.member_ids[layout.cluster_ids == c]].max(axis=0))
+
+
+def test_gradient_cluster_ops():
+    rng = np.random.default_rng(21)
+    layout = random_layout(rng, [1, 2, 3, 9, 12])
+    weights = Tensor(rng.standard_normal((layout.member_ids.shape[0], 1)), requires_grad=True)
+    x = Tensor(rng.standard_normal((layout.n, 2)), requires_grad=True)
+    assert grad_check(lambda: dense_weighted_sum(cluster_sum(layout, weights, x)), [weights, x]) < 1e-7
+    assert grad_check(lambda: dense_weighted_sum(cluster_max(x, layout)), [x]) < 1e-7
+
+
+def test_cluster_max_gradient_goes_to_lowest_tied_member():
+    x = Tensor(
+        np.array(
+            [
+                [2.0, 1.0, 5.0],
+                [2.0, 3.0, 5.0],
+                [1.0, 3.0, 5.0],
+                [-1.0, 0.0, 7.0],
+                [4.0, -2.0, 7.0],
+            ]
+        ),
+        requires_grad=True,
+    )
+    layout = layout_of([[0, 1, 2], [3], [1, 3, 4], [2, 4], [0, 1, 2, 3, 4]])
+    upstream = np.arange(1.0, 16.0).reshape(5, 3)
+    with Tape() as tape:
+        peak = cluster_max(x, layout)
+        loss = reduce_sum(hadamard(peak, Tensor(upstream)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(peak.data, [[2, 3, 5], [-1, 0, 7], [4, 3, 7], [4, 3, 7], [4, 3, 7]])
+    winners = np.array([[0, 1, 0], [3, 3, 3], [4, 1, 3], [4, 2, 4], [4, 1, 3]])
+    expected = np.zeros((5, 3))
+    for c in range(5):
+        for j in range(3):
+            expected[winners[c, j], j] += upstream[c, j]
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_cluster_layout_rejects_empty_cluster_and_non_square_pattern():
+    with pytest.raises(EngineError):
+        ClusterLayout(SparseMatrix((3, 3), [0, 2], [0, 2], [1.0, 1.0]))
+    with pytest.raises(ShapeError):
+        ClusterLayout(SparseMatrix((2, 3), [0, 1], [0, 1], [1.0, 1.0]))
+
+
+def test_cluster_ops_check_operand_shapes():
+    layout = layout_of([[0, 1], [1]])
+    with pytest.raises(ShapeError):
+        cluster_sum(layout, Tensor(np.ones((3, 1))), Tensor(np.ones((3, 2))))
+    with pytest.raises(ShapeError):
+        cluster_sum(layout, Tensor(np.ones((2, 1))), Tensor(np.ones((2, 2))))
+    with pytest.raises(ShapeError):
+        cluster_max(Tensor(np.ones((3, 2))), layout)
 
 
 # ---------------------------------------------------------------------------
