@@ -147,9 +147,7 @@ def load_tu_dataset(directory, name: str) -> Dataset:
         raise TUFormatError(
             edges_path, int(edge_lines[k]), f"edge ({heads[k] + 1}, {tails[k] + 1}) crosses graphs"
         )
-    edge_pairs = list(zip(heads.tolist(), tails.tolist()))
-
-    features = _node_features(prefix, n_nodes, edge_pairs)
+    features = _node_features(prefix, n_nodes, heads, tails)
 
     sizes = np.bincount(node_graph, minlength=n_graphs + 1)[1:]
     empty = np.flatnonzero(sizes == 0)
@@ -186,7 +184,7 @@ def load_tu_dataset(directory, name: str) -> Dataset:
     return Dataset(name=name, graphs=graphs, n_classes=len(classes))
 
 
-def _node_features(prefix, n_nodes: int, edge_pairs) -> np.ndarray:
+def _node_features(prefix, n_nodes: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
     attributes_path = Path(f"{prefix}_node_attributes.txt")
     if attributes_path.is_file():
         lines = _numbered_lines(attributes_path)
@@ -217,11 +215,10 @@ def _node_features(prefix, n_nodes: int, edge_pairs) -> np.ndarray:
         onehot[np.arange(n_nodes), np.searchsorted(values, raw)] = 1.0
         return onehot
 
-    degree = np.zeros(n_nodes)
-    counted = {(min(u, v), max(u, v)) for u, v in edge_pairs}
-    for u, v in counted:
-        degree[u] += 1.0
-        degree[v] += 1.0
+    # Each undirected edge counts once, however often and in whichever direction it is listed.
+    edges = np.unique(np.minimum(heads, tails) * n_nodes + np.maximum(heads, tails))
+    degree = (np.bincount(edges // n_nodes, minlength=n_nodes)
+              + np.bincount(edges % n_nodes, minlength=n_nodes)).astype(np.float64)
     top = degree.max() if degree.size and degree.max() > 0 else 1.0
     return (degree / top)[:, None]
 

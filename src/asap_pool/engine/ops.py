@@ -27,7 +27,6 @@ __all__ = [
     "relu",
     "leaky_relu",
     "sigmoid",
-    "rsqrt",
     "reduce_sum",
     "gather_rows",
     "concat_cols",
@@ -145,20 +144,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def backward(grad, accumulate):
         accumulate(x, grad * y * (1.0 - y))
-
-    record(out, (x,), backward)
-    return out
-
-
-def rsqrt(x: Tensor) -> Tensor:
-    """Elementwise ``x ** -0.5`` (entries must be positive)."""
-    if np.any(x.data <= 0.0):
-        raise EngineError("rsqrt needs strictly positive entries")
-    y = 1.0 / np.sqrt(x.data)
-    out = _out(y)
-
-    def backward(grad, accumulate):
-        accumulate(x, grad * (-0.5 * y ** 3))
 
     record(out, (x,), backward)
     return out

@@ -30,10 +30,10 @@ __all__ = [
     "sparse_make",
     "sparse_row_sums",
     "sparse_transpose",
-    "sparse_scale_entries",
     "sparse_add_identity",
+    "normalize_gcn",
     "sparse_zero_diagonal",
-    "sparse_select_columns",
+    "sparse_select_rows",
     "sparse_submatrix",
 ]
 
@@ -88,11 +88,6 @@ class SparseMatrix:
         values = np.asarray(values, dtype=np.float64).ravel()
         order = np.lexsort((cols, rows))
         return cls(shape, rows[order], cols[order], values[order], requires_grad=requires_grad)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        idx = np.arange(n)
-        return cls((n, n), idx, idx, np.ones(n))
 
     @classmethod
     def empty(cls, shape) -> "SparseMatrix":
@@ -177,6 +172,20 @@ def _sampled_dot(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarra
     return out
 
 
+def _compressed_times_dense(kernel, shape, indptr, indices, values, dense: np.ndarray) -> np.ndarray:
+    """``M @ dense`` by scipy's own ``csr_matvecs``/``csc_matvecs`` kernel, for ``M`` given by its arrays.
+
+    Building a scipy matrix checks its index arrays on every call, which
+    costs more than the product itself on small graphs. A matrix's CSR index
+    is cached with its pattern and a cluster layout's arrays were checked
+    once, so their products call the kernel directly.
+    """
+    out = np.zeros((shape[0], dense.shape[1]))
+    kernel(shape[0], shape[1], dense.shape[1], indptr, indices, values,
+           np.ascontiguousarray(dense).ravel(), out.ravel())
+    return out
+
+
 def _sparse_out(shape, rows, cols, values) -> SparseMatrix:
     if ops.DEBUG_CHECKS and not np.all(np.isfinite(values)):
         raise EngineError("non-finite values produced by a sparse operation")
@@ -187,12 +196,14 @@ def spmm(s: SparseMatrix, d: Tensor) -> Tensor:
     """Sparse @ dense product with gradients to both operands."""
     if s.shape[1] != d.data.shape[0]:
         raise ShapeError(f"spmm inner dims differ: {s.shape} @ {d.data.shape}")
-    out_data = s.csr() @ d.data if s.nnz else np.zeros((s.shape[0], d.data.shape[1]))
-    out = Tensor(out_data)
+    indices, indptr = s.csr_index()
+    out = Tensor(_compressed_times_dense(_sparsetools.csr_matvecs, s.shape, indptr, indices, s.values, d.data))
 
     def backward(grad, accumulate):
         if d.requires_grad:
-            accumulate(d, s.csr().T @ grad)
+            # s's CSR arrays read as CSC are sᵀ.
+            shape = (s.shape[1], s.shape[0])
+            accumulate(d, _compressed_times_dense(_sparsetools.csc_matvecs, shape, indptr, indices, s.values, grad))
         if s.requires_grad:
             accumulate(s, _sampled_dot(grad, s.rows, d.data, s.cols))
 
@@ -272,38 +283,11 @@ def sparse_transpose(s: SparseMatrix) -> SparseMatrix:
     return _take_entries(s, (s.shape[1], s.shape[0]), order, s.cols[order], s.rows[order])
 
 
-def sparse_scale_entries(s: SparseMatrix, row_factors: Tensor, col_factors: Tensor) -> SparseMatrix:
-    """Scale entry ``(i, j)`` by ``row_factors[i] * col_factors[j]``.
-
-    This is the symmetric-normalization primitive: with both factor columns
-    equal to ``degree ** -0.5`` it computes ``D^-1/2 A D^-1/2``.
-    """
-    if row_factors.data.shape != (s.shape[0], 1):
-        raise ShapeError("row_factors must be a column with one entry per row")
-    if col_factors.data.shape != (s.shape[1], 1):
-        raise ShapeError("col_factors must be a column with one entry per column")
-    rf = row_factors.data[:, 0]
-    cf = col_factors.data[:, 0]
-    out = _sparse_out(s.shape, s.rows, s.cols, s.values * rf[s.rows] * cf[s.cols])
-
-    def backward(grad, accumulate):
-        accumulate(s, grad * rf[s.rows] * cf[s.cols])
-        if row_factors.requires_grad:
-            contrib = grad * s.values * cf[s.cols]
-            accumulate(row_factors, np.bincount(s.rows, weights=contrib, minlength=s.shape[0])[:, None])
-        if col_factors.requires_grad:
-            contrib = grad * s.values * rf[s.rows]
-            accumulate(col_factors, np.bincount(s.cols, weights=contrib, minlength=s.shape[1])[:, None])
-
-    record(out, (s, row_factors, col_factors), backward)
-    return out
-
-
-def sparse_add_identity(s: SparseMatrix) -> SparseMatrix:
-    """Add the identity to a square matrix (pattern union; diagonal +1)."""
+def _identity_merge(s: SparseMatrix):
+    """Canonical ``(rows, cols, values)`` of ``s + I`` and where each entry of ``s`` landed in it."""
     n = s.shape[0]
     if s.shape[0] != s.shape[1]:
-        raise ShapeError("sparse_add_identity needs a square matrix")
+        raise ShapeError("adding the identity needs a square matrix")
     diag = np.arange(n, dtype=np.int64)
     all_rows = np.concatenate((s.rows, diag))
     all_cols = np.concatenate((s.cols, diag))
@@ -315,17 +299,50 @@ def sparse_add_identity(s: SparseMatrix) -> SparseMatrix:
     group_starts = np.concatenate(([0], np.flatnonzero(np.diff(sk)) + 1))
     group_of = np.cumsum(np.concatenate(([0], (np.diff(sk) != 0).astype(np.int64))))
     merged = np.bincount(group_of, weights=sv)
-    out = _sparse_out(s.shape, sr[group_starts], sc[group_starts], merged)
-
-    # Where each original entry landed in the merged layout.
     position = np.empty(all_rows.shape[0], dtype=np.int64)
     position[order] = group_of
-    original_pos = position[: s.nnz]
+    return sr[group_starts], sc[group_starts], merged, position[: s.nnz]
+
+
+def sparse_add_identity(s: SparseMatrix) -> SparseMatrix:
+    """Add the identity to a square matrix (pattern union; diagonal +1)."""
+    rows, cols, values, landed = _identity_merge(s)
+    out = _sparse_out(s.shape, rows, cols, values)
 
     def backward(grad, accumulate):
-        accumulate(s, grad[original_pos])
+        accumulate(s, grad[landed])
 
     record(out, (s,), backward)
+    return out
+
+
+def normalize_gcn(a: SparseMatrix) -> SparseMatrix:
+    """Symmetrically renormalized adjacency ``D^-1/2 (A + I) D^-1/2``.
+
+    Degrees are the row sums of ``A + I`` and must be positive; with a
+    non-negative ``A`` every degree is at least one and the result is
+    non-negative. The output participates in gradient flow when ``a`` does.
+    Rounding contract: forward and backward evaluate the composition add
+    identity, row sums, ``d ** -0.5``, scale entries with each step's
+    expressions in that step's order, so they equal that composition of
+    separate taped ops bit for bit.
+    """
+    rows, cols, values, landed = _identity_merge(a)
+    n = a.shape[0]
+    degrees = np.bincount(rows, weights=values, minlength=n)
+    if np.any(degrees <= 0.0):
+        raise EngineError("normalize_gcn needs strictly positive degrees")
+    scale = 1.0 / np.sqrt(degrees)
+    out = _sparse_out(a.shape, rows, cols, values * scale[rows] * scale[cols])
+
+    def backward(grad, accumulate):
+        direct = grad * scale[rows] * scale[cols]
+        d_rf = np.bincount(rows, weights=grad * values * scale[cols], minlength=n)
+        d_cf = np.bincount(cols, weights=grad * values * scale[rows], minlength=n)
+        g_deg = (d_rf + d_cf) * (-0.5 * scale ** 3)
+        accumulate(a, (direct + g_deg[rows])[landed])
+
+    record(out, (a,), backward)
     return out
 
 
@@ -356,11 +373,21 @@ def _renumbered(s: SparseMatrix, shape, new_rows: np.ndarray, new_cols: np.ndarr
     return _take_entries(s, shape, keep[order], rows[order], cols[order])
 
 
-def sparse_select_columns(s: SparseMatrix, col_indices) -> SparseMatrix:
-    """Keep columns listed in ``col_indices``, renumbered to that order."""
-    col_indices = np.asarray(col_indices, dtype=np.int64).ravel()
-    new_cols = _position_map(col_indices, s.shape[1], "column")[s.cols]
-    return _renumbered(s, (s.shape[0], col_indices.shape[0]), s.rows, new_cols)
+def sparse_select_rows(s: SparseMatrix, row_indices) -> SparseMatrix:
+    """Keep the rows listed in ``row_indices``, renumbered to that order.
+
+    Each kept row is a contiguous slice of the canonical layout, so the
+    result is canonical as gathered, with no sort.
+    """
+    row_indices = np.asarray(row_indices, dtype=np.int64).ravel()
+    _position_map(row_indices, s.shape[0], "row")
+    indptr = s.csr_index()[1]
+    starts = indptr[row_indices].astype(np.int64)
+    counts = indptr[row_indices + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    source = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+    rows = np.repeat(np.arange(row_indices.shape[0], dtype=np.int64), counts)
+    return _take_entries(s, (row_indices.shape[0], s.shape[1]), source, rows, s.cols[source])
 
 
 def sparse_submatrix(s: SparseMatrix, row_indices, col_indices) -> SparseMatrix:
@@ -378,19 +405,6 @@ def sparse_submatrix(s: SparseMatrix, row_indices, col_indices) -> SparseMatrix:
 # this many members is a left-to-right sum.
 _LEFT_TO_RIGHT_MEMBERS = 8
 _NEGATIVE_ZERO_BITS = np.float64(-0.0).view(np.int64)
-
-
-def _compressed_times_dense(kernel, shape, indptr, indices, values, dense: np.ndarray) -> np.ndarray:
-    """``M @ dense`` by scipy's own ``csr_matvecs``/``csc_matvecs`` kernel, for ``M`` given by its arrays.
-
-    Building a scipy matrix checks its index arrays on every call, which
-    costs more than the product itself on small graphs; a cluster layout's
-    arrays were checked once, so its products call the kernel directly.
-    """
-    out = np.zeros((shape[0], dense.shape[1]))
-    kernel(shape[0], shape[1], dense.shape[1], indptr, indices, values,
-           np.ascontiguousarray(dense).ravel(), out.ravel())
-    return out
 
 
 class ClusterLayout:

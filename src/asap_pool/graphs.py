@@ -7,9 +7,10 @@ on one adjacency; ``node_graph_ids`` (sorted, contiguous) maps rows back to
 graphs for segment reductions.
 
 Structural helpers here are shared by the layers, the pooling operator and the
-verification lab: symmetric renormalization, h-hop neighborhood patterns,
-graph powers, breadth-first distances, permutation relabeling and Prüfer
-sequence decoding for random trees.
+verification lab: symmetric renormalization (the engine's taped
+``normalize_gcn``, exported from here), h-hop neighborhood patterns, graph
+powers, breadth-first distances, permutation relabeling and Prüfer sequence
+decoding for random trees.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import (
-    SparseMatrix,
-    Tensor,
-    rsqrt,
-    sparse_add_identity,
-    sparse_row_sums,
-    sparse_scale_entries,
-)
+from .engine import SparseMatrix, Tensor, normalize_gcn
 
 __all__ = [
     "Graph",
@@ -247,19 +241,6 @@ def graph_power(a: SparseMatrix, p: int) -> SparseMatrix:
     reach = _reach_pattern(a, p)
     keep = reach.rows != reach.cols
     return SparseMatrix(a.shape, reach.rows[keep], reach.cols[keep], np.ones(int(keep.sum())))
-
-
-def normalize_gcn(a: SparseMatrix) -> SparseMatrix:
-    """Symmetrically renormalized adjacency ``D^-1/2 (A + I) D^-1/2``.
-
-    Degrees come from the self-loop-augmented matrix, so every row degree is
-    at least one and the result is non-negative whenever ``a`` is. The output
-    participates in gradient flow when ``a`` does.
-    """
-    augmented = sparse_add_identity(a)
-    degrees = sparse_row_sums(augmented)
-    inv_sqrt = rsqrt(degrees)
-    return sparse_scale_entries(augmented, inv_sqrt, inv_sqrt)
 
 
 def bfs_distances(a: SparseMatrix) -> np.ndarray:

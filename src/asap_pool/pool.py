@@ -15,8 +15,16 @@ One pooling step shrinks a graph (or block-diagonal batch) in four stages:
    ranking; ties keep the lower node index) and their features are gated by
    their fitness.
 4. **Coarsening** — with soft edges the pooled adjacency is
-   ``Ŝᵀ (A + I) Ŝ`` over the surviving membership columns ``Ŝ``; without, it
-   is the selected submatrix of ``A``. Either way the diagonal is dropped.
+   ``Ŝᵀ (A + I) Ŝ``, where ``Ŝᵀ`` is the survivors' rows of the membership
+   ``Sᵀ``; without, it is the selected submatrix of ``A``. Either way the
+   diagonal is dropped.
+
+The membership is kept cluster-major, as ``Sᵀ``: row ``c`` holds the weights
+of cluster ``c``'s members, which is the order the attention softmax produces
+them in, so it is assembled without a transpose and the survivors' rows are
+contiguous slices of it. The level's renormalized adjacency
+``D^-1/2 (A + I) D^-1/2`` is one taped engine op, ``normalize_gcn``, shared by
+the level's convolutions and, for ``h = 1``, as the cluster pattern.
 
 Every stage is differentiable through the engine tape (selection indices are
 treated as constants, like any argmax).
@@ -40,7 +48,7 @@ from .engine import (
     sigmoid,
     sparse_add_identity,
     sparse_make,
-    sparse_select_columns,
+    sparse_select_rows,
     sparse_submatrix,
     sparse_transpose,
     sparse_zero_diagonal,
@@ -142,27 +150,18 @@ class PooledBatch:
     n_graphs: int
     selected: np.ndarray  # global indices of surviving cluster medoids
     fitness: Tensor  # N x 1 sigmoid fitness of every cluster
-    assignment: SparseMatrix  # Ŝ: N x ⌈kN⌉ membership columns of the survivors
-    membership: SparseMatrix  # S: N x N full membership (rows nodes, cols clusters)
+    membership: SparseMatrix  # Sᵀ: N x N full membership (rows clusters, cols nodes)
     clusters: Tensor | None  # X^c when computed (aggregation != "None")
 
 
-def form_clusters(
-    x: Tensor,
-    a: SparseMatrix,
-    a_norm: SparseMatrix,
-    params: PoolParams,
-    config: PoolConfig,
-    *,
-    need_cluster_features: bool = True,
-):
-    """Soft membership weights and (optionally) weighted cluster features.
+def form_clusters(x: Tensor, a: SparseMatrix, a_norm: SparseMatrix, params: PoolParams, config: PoolConfig):
+    """Soft membership weights and, unless aggregation is ``"None"``, weighted cluster features.
 
     ``a_norm`` is ``normalize_gcn(a)``. Returns ``(clusters, membership,
-    pairs)`` where ``membership`` is the ``N x N`` matrix with
-    ``membership[j, i]`` the weight of node ``j`` in the cluster centred on
-    ``i`` (columns sum to one over members) and ``pairs`` is the underlying
-    ``(cluster_ids, member_ids)`` pattern.
+    pairs)`` where ``membership`` is the ``N x N`` matrix ``Sᵀ`` with
+    ``membership[i, j]`` the weight of node ``j`` in the cluster centred on
+    ``i`` (rows sum to one) and ``pairs`` is its ``(cluster_ids,
+    member_ids)`` pattern.
     """
     n = a.shape[0]
     # The 1-hop balls (self included) are exactly the pattern of A + I,
@@ -179,12 +178,8 @@ def form_clusters(
         queries = None
     logits = attention_scores(params.attention, transformed, cluster_ids, member_ids, queries)
     weights = segment_softmax(logits, cluster_ids, n)
-    clusters = cluster_sum(layout, weights, x) if need_cluster_features else None
-
-    # Pattern sorted by (cluster, member) is exactly the transpose's canonical
-    # order, so build S^T first and flip it.
-    membership_t = sparse_make((n, n), cluster_ids, member_ids, weights)
-    membership = sparse_transpose(membership_t)
+    clusters = cluster_sum(layout, weights, x) if config.aggregation != "None" else None
+    membership = sparse_make((n, n), cluster_ids, member_ids, weights)
     return clusters, membership, (cluster_ids, member_ids)
 
 
@@ -229,20 +224,18 @@ def select_top(
 
 def coarsen_adjacency(
     a: SparseMatrix, membership: SparseMatrix, selected: np.ndarray, soft_edges: bool
-) -> tuple[SparseMatrix, SparseMatrix]:
-    """Pooled adjacency (zero diagonal) plus the surviving membership columns Ŝ.
+) -> SparseMatrix:
+    """Pooled adjacency with a zero diagonal.
 
     Soft edges connect survivors whose clusters overlap or touch:
-    ``Ŝᵀ (A + I) Ŝ``. Hard edges keep only original edges between survivors.
+    ``Ŝᵀ (A + I) Ŝ``, with ``Ŝᵀ`` the ``selected`` rows of the membership
+    ``Sᵀ``. Hard edges keep only original edges between survivors.
     """
-    s_hat = sparse_select_columns(membership, selected)
-    if soft_edges:
-        augmented = sparse_add_identity(a)
-        pooled = spspmm(spspmm(sparse_transpose(s_hat), augmented), s_hat)
-        pooled = sparse_zero_diagonal(pooled)
-    else:
-        pooled = sparse_submatrix(a, selected, selected)
-    return pooled, s_hat
+    if not soft_edges:
+        return sparse_submatrix(a, selected, selected)
+    s_hat_t = sparse_select_rows(membership, selected)
+    pooled = spspmm(spspmm(s_hat_t, sparse_add_identity(a)), sparse_transpose(s_hat_t))
+    return sparse_zero_diagonal(pooled)
 
 
 def asap_pool_batch(
@@ -265,10 +258,7 @@ def asap_pool_batch(
     if a_norm is None:
         a_norm = normalize_gcn(a)
 
-    need_clusters = config.aggregation != "None"
-    clusters, membership, _ = form_clusters(
-        x, a, a_norm, params, config, need_cluster_features=need_clusters
-    )
+    clusters, membership, _ = form_clusters(x, a, a_norm, params, config)
 
     fitness_input = clusters if config.aggregation == "Both" else x
     carried = x if config.aggregation == "None" else clusters
@@ -278,7 +268,7 @@ def asap_pool_batch(
     gated = hadamard(fitness, carried)
     features = gather_rows(gated, selected)
 
-    adjacency, s_hat = coarsen_adjacency(a, membership, selected, config.soft_edges)
+    adjacency = coarsen_adjacency(a, membership, selected, config.soft_edges)
     return PooledBatch(
         features=features,
         adjacency=adjacency,
@@ -286,7 +276,6 @@ def asap_pool_batch(
         n_graphs=n_graphs,
         selected=selected,
         fitness=fitness,
-        assignment=s_hat,
         membership=membership,
         clusters=clusters,
     )

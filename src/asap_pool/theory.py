@@ -27,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .engine import SparseMatrix, Tensor, sparse_transpose
+from .engine import SparseMatrix, Tensor
 from .graphs import Graph, bfs_distances, graph_from_edges, h_hop_membership, graph_power, permute_graph, prufer_to_edges
 from .layers import LEConvParams
 from .pool import PoolConfig, PoolParams, asap_pool, coarsen_adjacency
@@ -429,8 +429,7 @@ def verify_graph_power(g: Graph, p: int, h: int) -> GraphPowerResult:
     }
     plain_ok = plain_pairs == expected_plain
 
-    membership = sparse_transpose(h_hop_membership(a, h))  # rows nodes, cols clusters
-    pooled, _ = coarsen_adjacency(power, membership, np.arange(g.n_nodes), True)
+    pooled = coarsen_adjacency(power, h_hop_membership(a, h), np.arange(g.n_nodes), True)
     pooled_pairs = set(zip(pooled.rows.tolist(), pooled.cols.tolist()))
     expected_pooled = {
         (u, v)

@@ -293,15 +293,19 @@ class TrainResult:
         Path(path).write_text(buffer.getvalue())
 
 
-def evaluate(model: Model, dataset: Dataset, indices, chunk_size: int = 256):
+# Graphs batched together by ``evaluate``.
+_EVAL_CHUNK = 256
+
+
+def evaluate(model: Model, dataset: Dataset, indices):
     """Mean loss and accuracy over the indexed graphs (no gradients, no dropout)."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("cannot evaluate on zero graphs")
     total_loss = 0.0
     total_correct = 0.0
-    for start in range(0, indices.size, chunk_size):
-        part = indices[start : start + chunk_size]
+    for start in range(0, indices.size, _EVAL_CHUNK):
+        part = indices[start : start + _EVAL_CHUNK]
         batch = batch_graphs([dataset.graphs[i] for i in part])
         logits = forward(model, batch, training=False)
         total_loss += cross_entropy(logits, batch.labels).item() * part.size

@@ -179,7 +179,7 @@ def test_criterion_2_dense_reference_equivalence(capsys):
         worst = max(
             worst,
             float(np.abs(pooled.fitness.data - ref["fitness"]).max()),
-            float(np.abs(pooled.membership.to_dense() - ref["membership"]).max()),
+            float(np.abs(pooled.membership.to_dense().T - ref["membership"]).max()),
             float(np.abs(pooled.features.data - ref["features"]).max()),
             float(np.abs(pooled.adjacency.to_dense() - ref["adjacency"]).max()),
         )

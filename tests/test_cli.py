@@ -42,6 +42,15 @@ def test_ingest_check_stats_unknown_name(tmp_path, capsys):
     assert "no published statistics" in out
 
 
+def test_ingest_check_stats_resolves_alias_name(tmp_path, capsys):
+    write_fixture(tmp_path, "D&D", BASE_FILES)
+    code, out, _ = run(["ingest", "--dir", str(tmp_path), "--name", "D&D", "--check-stats"], capsys)
+    assert code == 1
+    assert "no published statistics" not in out
+    assert "expected 1178" in out  # the DD row
+    assert "stats check: FAIL" in out
+
+
 def test_ingest_check_stats_mismatch_fails(tmp_path, capsys):
     write_fixture(tmp_path, "PROTEINS", BASE_FILES)
     code, out, _ = run(

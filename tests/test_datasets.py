@@ -53,6 +53,15 @@ def test_load_degree_features_when_no_annotations(tmp_path):
     np.testing.assert_allclose(ds.graphs[0].features.data, np.full((3, 1), 1.0))
     np.testing.assert_allclose(ds.graphs[1].features.data, np.full((2, 1), 0.5))
 
+    # A repeated edge, one listed in one direction only, a self loop, and an
+    # edge listed tail first: each undirected edge counts once, loops never.
+    files = dict(BASE_FILES, A=["1, 2", "1, 2", "2, 1", "3, 1", "2, 2", "5, 4"])
+    (tmp_path / "dup").mkdir()
+    write_fixture(tmp_path / "dup", "TOY", files)
+    ds = load_tu_dataset(tmp_path / "dup", "TOY")
+    np.testing.assert_array_equal(ds.graphs[0].features.data, [[1.0], [0.5], [0.5]])
+    np.testing.assert_array_equal(ds.graphs[1].features.data, [[0.5], [0.5]])
+
 
 def test_load_one_hot_node_labels(tmp_path):
     files = dict(BASE_FILES)

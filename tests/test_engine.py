@@ -17,7 +17,6 @@ from asap_pool.engine import (
     matmul,
     reduce_sum,
     relu,
-    rsqrt,
     segment_reduce,
     segment_softmax,
     sigmoid,
@@ -177,13 +176,6 @@ def test_elementwise_activations_match_numpy():
         leaky_relu(Tensor(x)).data, np.where(x > 0, x, 0.2 * x)
     )
     np.testing.assert_allclose(sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
-    pos = np.abs(x) + 0.5
-    np.testing.assert_allclose(rsqrt(Tensor(pos)).data, pos ** -0.5)
-
-
-def test_rsqrt_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        rsqrt(Tensor(np.array([[1.0], [0.0]])))
 
 
 def test_reductions_match_numpy():
@@ -323,12 +315,6 @@ def test_gradient_elementwise_ops():
     for op in (relu, leaky_relu, sigmoid):
         err = grad_check(lambda: reduce_sum(op(x)), [x])
         assert err < 1e-6
-
-
-def test_gradient_rsqrt():
-    rng = np.random.default_rng(9)
-    x = Tensor(rng.uniform(0.5, 2.0, (4, 1)), requires_grad=True)
-    assert grad_check(lambda: reduce_sum(rsqrt(x)), [x]) < 1e-7
 
 
 def test_gradient_hadamard_broadcast():

@@ -83,7 +83,7 @@ def test_graph_invariants_rejected():
             Tensor(np.zeros((2, 1))),
         )
     with pytest.raises(ValueError):  # stored diagonal
-        Graph(SparseMatrix.identity(2), Tensor(np.zeros((2, 1))))
+        Graph(SparseMatrix((2, 2), [0, 1], [0, 1], [1.0, 1.0]), Tensor(np.zeros((2, 1))))
     with pytest.raises(ValueError):  # feature row count
         Graph(SparseMatrix.empty((2, 2)), Tensor(np.zeros((3, 1))))
 

@@ -131,7 +131,7 @@ def test_select_top_per_graph():
 
 def test_star_membership_and_cluster_features():
     pooled = asap_pool(star_graph_fixture(), star_params(), PoolConfig())
-    s = pooled.membership.to_dense()
+    s = pooled.membership.to_dense().T
     # Cluster 0 covers everything uniformly; leaf clusters average with the hub.
     np.testing.assert_allclose(s[:, 0], 0.25)
     np.testing.assert_allclose(s[:, 1], [0.5, 0.5, 0.0, 0.0])
@@ -230,7 +230,7 @@ def test_matches_dense_reference_attention_fitness(attention, fitness):
     np.testing.assert_array_equal(pooled.selected, ref["selected"])
     np.testing.assert_allclose(pooled.fitness.data, ref["fitness"], atol=1e-10)
     np.testing.assert_allclose(
-        pooled.membership.to_dense(), ref["membership"], atol=1e-10
+        pooled.membership.to_dense().T, ref["membership"], atol=1e-10
     )
     np.testing.assert_allclose(pooled.features.data, ref["features"], atol=1e-10)
     np.testing.assert_allclose(

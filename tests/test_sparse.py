@@ -16,12 +16,12 @@ from asap_pool.engine import (
     grad_check,
     hadamard,
     matmul,
+    normalize_gcn,
     reduce_sum,
     sparse_add_identity,
     sparse_make,
     sparse_row_sums,
-    sparse_scale_entries,
-    sparse_select_columns,
+    sparse_select_rows,
     sparse_submatrix,
     sparse_transpose,
     sparse_zero_diagonal,
@@ -80,7 +80,7 @@ def test_out_of_bounds_entries_rejected():
 
 
 def test_identity_and_empty():
-    eye = SparseMatrix.identity(3)
+    eye = sparse_add_identity(SparseMatrix.empty((3, 3)))
     np.testing.assert_allclose(eye.to_dense(), np.eye(3))
     empty = SparseMatrix.empty((2, 4))
     assert empty.rows.size == 0
@@ -175,7 +175,7 @@ def test_spspmm_gradient_is_dense_product_sampled_on_each_pattern():
 
 def test_spspmm_shape_mismatch():
     with pytest.raises(EngineError):
-        spspmm(SparseMatrix.identity(3), SparseMatrix.identity(4))
+        spspmm(SparseMatrix.empty((3, 3)), SparseMatrix.empty((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +199,44 @@ def test_row_sums_matches_dense():
     )
 
 
-def test_scale_entries_matches_diagonal_sandwich():
+def test_normalize_gcn_matches_diagonal_sandwich():
     rng = np.random.default_rng(6)
-    s = random_sparse(rng, 4, 5)
-    r = rng.uniform(0.5, 2.0, (4, 1))
-    c = rng.uniform(0.5, 2.0, (5, 1))
-    out = sparse_scale_entries(s, Tensor(r), Tensor(c))
-    expected = np.diag(r.ravel()) @ s.to_dense() @ np.diag(c.ravel())
-    np.testing.assert_allclose(out.to_dense(), expected, atol=1e-12)
+    s = random_sparse(rng, 5, 5)
+    s.values[:] = np.abs(s.values)
+    augmented = s.to_dense() + np.eye(5)
+    scale = np.diag(augmented.sum(axis=1) ** -0.5)
+    np.testing.assert_allclose(normalize_gcn(s).to_dense(), scale @ augmented @ scale, atol=1e-12)
+
+
+def test_normalize_gcn_rounds_like_the_chain_it_replaces():
+    # Add identity, row sums, d ** -0.5 and scale entries, each as its own
+    # step, forward and backward: the fused op must keep every bit.
+    rng = np.random.default_rng(17)
+    a = random_sparse(rng, 6, 6, density=0.5, requires_grad=True)
+    a.values[:] = np.abs(a.values) * 10.0 ** rng.integers(-3, 3, a.nnz)
+    upstream = rng.standard_normal((6, 6))
+    with Tape() as tape:
+        out = normalize_gcn(a)
+        loss = reduce_sum(hadamard(spmm(out, Tensor(np.eye(6))), Tensor(upstream)))
+    grads = tape.backward(loss)
+
+    aug = sparse_add_identity(a)
+    rows, cols, values = aug.rows, aug.cols, aug.values
+    y = 1.0 / np.sqrt(np.bincount(rows, weights=values, minlength=6)[:, None])
+    rf = cf = y[:, 0]
+    assert out.values.tobytes() == (values * rf[rows] * cf[cols]).tobytes()
+    grad = upstream[rows, cols]
+    g_y = (np.bincount(rows, weights=grad * values * cf[cols], minlength=6)[:, None]
+           + np.bincount(cols, weights=grad * values * rf[rows], minlength=6)[:, None])
+    g_aug = grad * rf[rows] * cf[cols] + (g_y * (-0.5 * y ** 3))[rows, 0]
+    landed = np.searchsorted(aug.pattern_key(), a.pattern_key())
+    assert grads[a].tobytes() == g_aug[landed].tobytes()
+
+
+def test_normalize_gcn_rejects_nonpositive_degree():
+    a = SparseMatrix.from_coo((2, 2), [0, 1], [1, 0], [-1.0, -1.0])
+    with pytest.raises(EngineError):
+        normalize_gcn(a)
 
 
 def test_add_identity_matches_dense():
@@ -232,13 +262,22 @@ def test_zero_diagonal_matches_dense():
     np.testing.assert_allclose(sparse_zero_diagonal(s).to_dense(), expected)
 
 
-def test_select_columns_matches_dense_slice():
+def test_select_rows_matches_dense_slice():
     rng = np.random.default_rng(9)
-    s = random_sparse(rng, 5, 6)
-    cols = np.array([4, 0, 2])
-    np.testing.assert_allclose(
-        sparse_select_columns(s, cols).to_dense(), s.to_dense()[:, cols]
-    )
+    s = random_sparse(rng, 6, 5)
+    s = SparseMatrix(s.shape, s.rows[s.rows != 2], s.cols[s.rows != 2], s.values[s.rows != 2])
+    rows = np.array([4, 0, 2, 5])  # row 2 stores nothing
+    np.testing.assert_array_equal(sparse_select_rows(s, rows).to_dense(), s.to_dense()[rows])
+
+
+def test_select_rows_rejects_duplicate_and_out_of_range_indices():
+    s = random_sparse(np.random.default_rng(11), 4, 4)
+    with pytest.raises(EngineError):
+        sparse_select_rows(s, [1, 3, 1])
+    with pytest.raises(IndexError):
+        sparse_select_rows(s, [0, 4])
+    with pytest.raises(IndexError):
+        sparse_select_rows(s, [-1])
 
 
 def test_submatrix_matches_dense_fancy_index():
@@ -275,16 +314,16 @@ def test_gradient_spspmm_pattern_restricted():
 def test_gradient_structural_ops():
     rng = np.random.default_rng(14)
     s = random_sparse(rng, 5, 5, requires_grad=True)
-    r = Tensor(rng.uniform(0.5, 2.0, (5, 1)), requires_grad=True)
-    c = Tensor(rng.uniform(0.5, 2.0, (5, 1)), requires_grad=True)
+    weights = random_sparse(rng, 5, 5, requires_grad=True)
+    weights.values[:] = rng.uniform(0.5, 2.0, weights.nnz)
 
     checks = [
         (lambda: weighted_sum(sparse_transpose(s)), [s]),
         (lambda: reduce_sum(sparse_row_sums(s)), [s]),
-        (lambda: weighted_sum(sparse_scale_entries(s, r, c)), [s, r, c]),
+        (lambda: weighted_sum(normalize_gcn(weights)), [weights]),
         (lambda: weighted_sum(sparse_add_identity(s)), [s]),
         (lambda: weighted_sum(sparse_zero_diagonal(s)), [s]),
-        (lambda: weighted_sum(sparse_select_columns(s, np.array([3, 0]))), [s]),
+        (lambda: weighted_sum(sparse_select_rows(s, np.array([3, 0]))), [s]),
         (lambda: weighted_sum(sparse_submatrix(s, np.array([1, 4]), np.array([0, 2]))), [s]),
     ]
     for f, params in checks:
@@ -297,7 +336,7 @@ def test_structural_ops_that_take_no_entries():
     empty = SparseMatrix((4, 6), [], [], [], requires_grad=True)
     diagonal = SparseMatrix((3, 3), [0, 1, 2], [0, 1, 2], [1.0, -2.0, 3.0], requires_grad=True)
     cases = [
-        (s, lambda: sparse_select_columns(s, np.zeros(0, dtype=np.int64)), (5, 0)),
+        (s, lambda: sparse_select_rows(s, np.zeros(0, dtype=np.int64)), (0, 5)),
         (empty, lambda: sparse_submatrix(empty, np.array([3, 0]), np.array([1, 5, 2])), (2, 3)),
         (diagonal, lambda: sparse_zero_diagonal(diagonal), (3, 3)),
     ]
