@@ -219,6 +219,16 @@ def _command_theory_optimum(args) -> int:
 
 
 def _command_theory_kstar(args) -> int:
+    # verify_tree_bounds builds balanced starlike trees for h + 1 and 2h + 2,
+    # which need an even value and, besides the root, a full branch of h + 1 nodes.
+    if args.h < 1 or args.h % 2 == 0:
+        print("kstar needs an odd --h >= 1: it compares with starlike trees for --h + 1, which must be even",
+              file=sys.stderr)
+        return 2
+    if args.nmin < args.h + 2:
+        print(f"kstar needs --nmin >= --h + 2 = {args.h + 2}: every starlike tree needs a full branch",
+              file=sys.stderr)
+        return 2
     all_ok = True
     print(f"h={args.h}: worst-case minimum sampling fraction over all trees")
     print("    N  trees  plain-topk   cluster-pool  starlike-topk  starlike-pool  ordered")

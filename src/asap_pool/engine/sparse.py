@@ -6,9 +6,12 @@ in gradient flow exactly like a dense tensor's entries: sparse outputs of
 taped operations are tracked, and leaves created with ``requires_grad=True``
 receive a per-entry gradient vector on ``.grad``.
 
-scipy.sparse provides the CSR kernels behind matrix products; the pattern
-bookkeeping (selection, transposes, unions) is done here so gradients can be
-routed entry-for-entry.
+Sparse × dense and sparse × sparse products call scipy's compiled CSR
+kernels (``_sparsetools``) directly on each operand's cached CSR index
+arrays, so the training path builds no scipy matrix objects
+(:meth:`SparseMatrix.csr` builds one for a caller that wants it). The
+pattern bookkeeping (selection, transposes, unions) is done here so
+gradients can be routed entry-for-entry.
 """
 
 from __future__ import annotations
@@ -106,18 +109,23 @@ class SparseMatrix:
         """
         if self._index is None:
             n_rows = self.shape[0]
-            fits = max(self.nnz, n_rows, self.shape[1]) <= np.iinfo(np.int32).max
-            dtype = np.int32 if fits else np.int64
+            dtype = _index_dtype(max(self.nnz, n_rows, self.shape[1]))
             indptr = np.zeros(n_rows + 1, dtype=dtype)
             np.cumsum(np.bincount(self.rows, minlength=n_rows), out=indptr[1:])
             self._index = (self.cols.astype(dtype), indptr)
         return self._index
 
     def csr(self) -> sp.csr_matrix:
-        """scipy CSR view of the current values (cached only when untracked)."""
+        """scipy CSR matrix of the current values (cached only when untracked).
+
+        The engine's own products call scipy's kernels on :meth:`csr_index`
+        and build no scipy matrix; this is for callers that want one.
+        """
         if self._csr is not None:
             return self._csr
-        mat = _csr_on(self, self.values)
+        indices, indptr = self.csr_index()
+        mat = sp.csr_matrix((self.values, indices, indptr), shape=self.shape)
+        mat.has_canonical_format = True
         if not self.requires_grad:
             self._csr = mat
         return mat
@@ -136,25 +144,68 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz}{flag})"
 
 
-def _csr_on(pattern: SparseMatrix, values: np.ndarray) -> sp.csr_matrix:
-    """scipy CSR matrix with ``pattern``'s layout holding ``values``."""
-    indices, indptr = pattern.csr_index()
-    mat = sp.csr_matrix((values, indices, indptr), shape=pattern.shape)
-    mat.has_canonical_format = True
-    return mat
+_INT32_MAX = np.iinfo(np.int32).max
 
 
-def _sample(product: sp.spmatrix, pattern: SparseMatrix) -> np.ndarray:
-    """Entries of a scipy product at ``pattern``'s coordinates (0 where it stores none)."""
-    product = product.tocsr()
-    product.sort_indices()
-    if product.nnz == 0:
-        return np.zeros(pattern.nnz)
-    rows = np.repeat(np.arange(product.shape[0], dtype=np.int64), np.diff(product.indptr))
-    keys = _encode(rows, product.indices, product.shape[1])
-    wanted = pattern.pattern_key()
-    pos = np.minimum(np.searchsorted(keys, wanted), keys.shape[0] - 1)
-    return np.where(keys[pos] == wanted, product.data[pos], 0.0)
+def _index_dtype(bound: int):
+    """The index dtype scipy picks for index arrays that hold values up to ``bound``."""
+    return np.int32 if bound <= _INT32_MAX else np.int64
+
+
+def _csr_transpose(shape, index, values: np.ndarray):
+    """CSR ``(indices, indptr)`` and values of a CSR matrix's transpose, by scipy's ``csr_tocsc``.
+
+    The kernel is a counting sort by column, so each row of the transpose
+    lists its columns in ascending order, as scipy's ``.T.tocsr()`` does.
+    """
+    indices, indptr = index
+    n_rows, n_cols = shape
+    t_indptr = np.empty(n_cols + 1, dtype=indptr.dtype)
+    t_indices = np.empty(indices.shape[0], dtype=indptr.dtype)
+    t_values = np.empty(indices.shape[0])
+    _sparsetools.csr_tocsc(n_rows, n_cols, indptr, indices, values, t_indptr, t_indices, t_values)
+    return (t_indices, t_indptr), t_values
+
+
+def _csr_product(n_rows, n_cols, a_index, a_values, b_index, b_values):
+    """CSR ``(indices, indptr)`` and values of ``A @ B``, columns sorted within each row.
+
+    The kernels are those scipy's ``A @ B`` then ``sum_duplicates`` run, so
+    the values round the same: entry ``(i, j)`` adds each ``A[i, k] *
+    B[k, j]`` to ``0.0`` in the order ``A``'s row ``i`` stores its ``k``, and
+    a sum that is exactly zero is not stored.
+    """
+    (a_indices, a_indptr), (b_indices, b_indptr) = a_index, b_index
+    arrays = (a_indptr, a_indices, b_indptr, b_indices)
+    dtype = np.result_type(*arrays)
+    bound = _sparsetools.csr_matmat_maxnnz(n_rows, n_cols, *(arr.astype(dtype, copy=False) for arr in arrays))
+    dtype = np.promote_types(dtype, _index_dtype(bound))
+    a_indptr, a_indices, b_indptr, b_indices = (arr.astype(dtype, copy=False) for arr in arrays)
+    indptr = np.empty(n_rows + 1, dtype=dtype)
+    indices = np.empty(bound, dtype=dtype)
+    values = np.empty(bound)
+    _sparsetools.csr_matmat(
+        n_rows, n_cols, a_indptr, a_indices, a_values, b_indptr, b_indices, b_values, indptr, indices, values
+    )
+    stored = int(indptr[-1])
+    indices, values = indices[:stored], values[:stored]
+    _sparsetools.csr_sort_indices(n_rows, indptr, indices, values)
+    return (indices, indptr), values
+
+
+def _sample(pattern: SparseMatrix, index, values: np.ndarray) -> np.ndarray:
+    """Entries of a same-shape CSR matrix with sorted columns at ``pattern``'s coordinates.
+
+    scipy's ``csr_sample_values`` binary-searches each row for the pattern's
+    columns; an entry the matrix does not store reads as ``0.0``.
+    """
+    indices, indptr = index
+    out = np.empty(pattern.nnz)
+    _sparsetools.csr_sample_values(
+        pattern.shape[0], pattern.shape[1], indptr, indices, values, pattern.nnz,
+        pattern.rows.astype(indptr.dtype), pattern.cols.astype(indptr.dtype), out,
+    )
+    return out
 
 
 # Rows gathered per block by ``_sampled_dot``, counted in entries (rows x
@@ -212,21 +263,33 @@ def spmm(s: SparseMatrix, d: Tensor) -> Tensor:
 
 
 def spspmm(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Sparse @ sparse product; the result pattern is whatever is structurally nonzero."""
+    """Sparse @ sparse product, storing each entry that has a product term and a nonzero sum.
+
+    ``(i, j)`` is stored when some ``k`` has both ``a[i, k]`` and ``b[k, j]``
+    stored and the terms do not sum to exactly ``0.0``: ``[1 1] @ [1 -1]ᵀ``
+    stores nothing. Forward and backward call scipy's compiled kernels on
+    the operands' cached :meth:`~SparseMatrix.csr_index` arrays. The values
+    equal scipy's ``a.csr() @ b.csr()`` bit for bit, and the gradients equal
+    scipy's ``G @ b.T`` and ``a.T @ G`` read at each operand's entries.
+    """
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"spspmm inner dims differ: {a.shape} @ {b.shape}")
-    prod = (a.csr() @ b.csr()).tocsr()
-    prod.sum_duplicates()
-    rows = np.repeat(np.arange(prod.shape[0], dtype=np.int64), np.diff(prod.indptr))
-    out = _sparse_out((a.shape[0], b.shape[1]), rows, prod.indices, prod.data)
+    n_rows, inner, n_cols = a.shape[0], a.shape[1], b.shape[1]
+    index, values = _csr_product(n_rows, n_cols, a.csr_index(), a.values, b.csr_index(), b.values)
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(index[1]))
+    out = _sparse_out((n_rows, n_cols), rows, index[0], values)
+    out._index = index  # the product's own CSR arrays, rows and columns sorted
 
     def backward(grad, accumulate):
         # dA = G Bᵀ and dB = Aᵀ G, each read off at that operand's stored entries.
-        grad_csr = _csr_on(out, grad)
         if a.requires_grad:
-            accumulate(a, _sample(grad_csr @ b.csr().T, a))
+            b_t = _csr_transpose(b.shape, b.csr_index(), b.values)
+            accumulate(a, _sample(a, *_csr_product(n_rows, inner, index, grad, *b_t)))
         if b.requires_grad:
-            accumulate(b, _sample(a.csr().T @ grad_csr, b))
+            # Aᵀ's rows list i ascending, so each entry of Aᵀ G adds its
+            # terms in the order scipy's (Gᵀ A)ᵀ does.
+            a_t = _csr_transpose(a.shape, a.csr_index(), a.values)
+            accumulate(b, _sample(b, *_csr_product(inner, n_cols, *a_t, index, grad)))
 
     record(out, (a, b), backward)
     return out

@@ -142,15 +142,18 @@ def forward(
     """Class logits, one row per graph in the batch.
 
     Dropout fires only with ``training=True`` (which then requires ``rng``)
-    and uses inverted scaling so evaluation needs no correction.
+    and uses inverted scaling so evaluation needs no correction. The last
+    block's pooled adjacency is not built: nothing after the last readout
+    reads it.
     """
     x, a = batch.features, batch.adjacency
     ids, n_graphs = batch.node_graph_ids, batch.n_graphs
     summary: Tensor | None = None
-    for block in model.blocks:
+    last = len(model.blocks) - 1
+    for i, block in enumerate(model.blocks):
         a_norm = normalize_gcn(a)  # shared by this level's convolution and pooling
         x = gcn_forward(x, a_norm, block.gcn, activation=relu)
-        pooled = asap_pool_batch(x, a, ids, n_graphs, block.pool, model.config.pool, a_norm)
+        pooled = asap_pool_batch(x, a, ids, n_graphs, block.pool, model.config.pool, a_norm, coarsen=i < last)
         x, a, ids = pooled.features, pooled.adjacency, pooled.node_graph_ids
         level = readout(x, ids, n_graphs)
         summary = level if summary is None else add(summary, level)

@@ -145,7 +145,7 @@ class PooledBatch:
     """Result of pooling a batch: the shrunk batch plus the pooling internals."""
 
     features: Tensor  # ⌈kN⌉ x d pooled (fitness-gated) features, rank order per graph
-    adjacency: SparseMatrix  # pooled adjacency, zero diagonal
+    adjacency: SparseMatrix | None  # pooled adjacency, zero diagonal; None when not coarsened
     node_graph_ids: np.ndarray
     n_graphs: int
     selected: np.ndarray  # global indices of surviving cluster medoids
@@ -246,11 +246,15 @@ def asap_pool_batch(
     params: PoolParams,
     config: PoolConfig,
     a_norm: SparseMatrix | None = None,
+    *,
+    coarsen: bool = True,
 ) -> PooledBatch:
     """One pooling step over a block-diagonal batch.
 
     ``a_norm`` is ``normalize_gcn(a)`` when the caller already has it (the
     model's convolution uses the same matrix); otherwise it is computed here.
+    With ``coarsen=False`` the pooled adjacency is not built and
+    ``adjacency`` is ``None``, for a caller that reads nothing after this step.
     """
     node_graph_ids = np.asarray(node_graph_ids, dtype=np.int64).ravel()
     if x.data.shape[0] != a.shape[0] or a.shape[0] != node_graph_ids.shape[0]:
@@ -268,7 +272,7 @@ def asap_pool_batch(
     gated = hadamard(fitness, carried)
     features = gather_rows(gated, selected)
 
-    adjacency = coarsen_adjacency(a, membership, selected, config.soft_edges)
+    adjacency = coarsen_adjacency(a, membership, selected, config.soft_edges) if coarsen else None
     return PooledBatch(
         features=features,
         adjacency=adjacency,

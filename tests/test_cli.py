@@ -173,6 +173,22 @@ def test_theory_kstar_table_passes(capsys):
     assert out.count("yes") == 3
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--nmin", "5", "--nmax", "6", "--h", "2"], "--h"),
+        (["--nmin", "2", "--nmax", "3"], "--nmin"),
+        (["--nmin", "4", "--nmax", "5", "--h", "3"], "--nmin"),
+    ],
+)
+def test_theory_kstar_rejects_values_without_a_starlike_tree(argv, flag, capsys):
+    code, out, err = run(["theory", "kstar", *argv], capsys)
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_theory_equivariance_passes_and_shows_counterexample(capsys):
     code, out, _ = run(["theory", "equivariance", "--trials", "5"], capsys)
     assert code == 0

@@ -5,9 +5,11 @@ import pytest
 from scipy.special import log_softmax
 
 import asap_pool.model as model_mod
+import asap_pool.pool as pool_mod
 from asap_pool.datasets import synthetic_motif_dataset
-from asap_pool.engine import Tape, Tensor, grad_check
-from asap_pool.graphs import batch_graphs, graph_from_edges, permute_graph
+from asap_pool.engine import Tape, Tensor, grad_check, relu
+from asap_pool.graphs import batch_graphs, graph_from_edges, normalize_gcn, permute_graph
+from asap_pool.layers import gcn_forward
 from asap_pool.model import (
     Model,
     ModelConfig,
@@ -19,7 +21,7 @@ from asap_pool.model import (
     readout,
     save_checkpoint,
 )
-from asap_pool.pool import PoolConfig
+from asap_pool.pool import PoolConfig, asap_pool_batch
 from asap_pool.train import Adam, TrainConfig
 
 
@@ -84,6 +86,39 @@ def test_forward_invariant_to_graph_order_in_batch():
     ab = forward(m, batch_graphs([g1, g2])).data
     ba = forward(m, batch_graphs([g2, g1])).data
     np.testing.assert_allclose(ab, ba[::-1], atol=1e-10)
+
+
+@pytest.mark.parametrize("soft_edges", [True, False])
+def test_forward_does_not_coarsen_after_the_last_block(monkeypatch, soft_edges):
+    rng = np.random.default_rng(4)
+    m, _ = small_model(n_blocks=3, pool=PoolConfig(soft_edges=soft_edges))
+    batch = batch_graphs([random_graph(rng, 9, 0), random_graph(rng, 8, 1)])
+    calls = []
+    original = pool_mod.coarsen_adjacency
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pool_mod, "coarsen_adjacency", counted)
+    forward(m, batch)
+    assert len(calls) == 2
+
+
+def test_pooling_without_coarsening_pools_the_same_bytes():
+    rng = np.random.default_rng(5)
+    m, config = small_model(n_blocks=3)
+    batch = batch_graphs([random_graph(rng, 9, 0), random_graph(rng, 8, 1)])
+    block = m.blocks[0]
+    a_norm = normalize_gcn(batch.adjacency)
+    x = gcn_forward(batch.features, a_norm, block.gcn, activation=relu)
+    args = (x, batch.adjacency, batch.node_graph_ids, batch.n_graphs, block.pool, config.pool, a_norm)
+    full = asap_pool_batch(*args)
+    bare = asap_pool_batch(*args, coarsen=False)
+    assert full.adjacency is not None and bare.adjacency is None
+    assert bare.selected.tobytes() == full.selected.tobytes()
+    for field in ("features", "fitness"):
+        assert getattr(bare, field).data.tobytes() == getattr(full, field).data.tobytes()
 
 
 def test_parameter_names_are_dotted_paths():

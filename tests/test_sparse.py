@@ -173,6 +173,65 @@ def test_spspmm_gradient_is_dense_product_sampled_on_each_pattern():
     assert np.all(grads[b][b.rows == 3] == 0.0)
 
 
+def scipy_entries_at(product, s):
+    """Values of a scipy matrix at ``s``'s stored coordinates, 0.0 where it stores nothing."""
+    coo = product.tocoo()
+    stored = dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
+    return np.array([stored.get(key, 0.0) for key in zip(s.rows.tolist(), s.cols.tolist())])
+
+
+def assert_same_bits(got, want):
+    """Equal float64 arrays, signed zeros included."""
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_spspmm_is_scipy_bit_for_bit(a, b, rng):
+    want = a.csr() @ b.csr()
+    want.sum_duplicates()
+    with Tape() as tape:
+        out = spspmm(a, b)
+        # Seeds exactly G on out's entries: spmm against I reads each entry once.
+        g = np.zeros(out.shape)
+        g[out.rows, out.cols] = rng.standard_normal(out.nnz)
+        loss = reduce_sum(hadamard(spmm(out, Tensor(np.eye(out.shape[1]))), Tensor(g)))
+    grads = tape.backward(loss)
+    assert np.array_equal(out.rows, np.repeat(np.arange(want.shape[0]), np.diff(want.indptr)))
+    assert np.array_equal(out.cols, want.indices)
+    assert_same_bits(out.values, want.data)
+    g_csr = sp.csr_matrix((g[out.rows, out.cols], (out.rows, out.cols)), shape=out.shape)
+    assert_same_bits(grads[a], scipy_entries_at(g_csr @ b.csr().T, a))
+    assert_same_bits(grads[b], scipy_entries_at(a.csr().T @ g_csr, b))
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 7),
+    k=st.integers(1, 7),
+    n=st.integers(1, 7),
+    density=st.floats(0.1, 0.9),
+)
+@settings(max_examples=40, deadline=None)
+def test_spspmm_is_scipy_product_bit_for_bit(seed, m, k, n, density):
+    rng = np.random.default_rng(seed)
+    a = random_sparse(rng, m, k, density, requires_grad=True)
+    b = random_sparse(rng, k, n, density, requires_grad=True)
+    assert_spspmm_is_scipy_bit_for_bit(a, b, rng)
+
+
+def test_spspmm_drops_a_sum_that_cancels_to_zero_and_handles_an_empty_product():
+    rng = np.random.default_rng(22)
+    # [1 1] @ [1 -1]ᵀ: two product terms that sum to exactly 0.0.
+    a = SparseMatrix((1, 2), [0, 0], [0, 1], [1.0, 1.0], requires_grad=True)
+    b = SparseMatrix((2, 1), [0, 1], [0, 0], [1.0, -1.0], requires_grad=True)
+    assert assert_spspmm_is_scipy_bit_for_bit(a, b, rng).nnz == 0
+    # a's columns 0-1 meet b's empty rows 0-1: no product term at all.
+    a = SparseMatrix((3, 4), [0, 1, 2], [0, 1, 0], [1.0, 2.0, 3.0], requires_grad=True)
+    b = SparseMatrix((4, 2), [2, 3], [0, 1], [4.0, 5.0], requires_grad=True)
+    assert assert_spspmm_is_scipy_bit_for_bit(a, b, rng).nnz == 0
+
+
 def test_spspmm_shape_mismatch():
     with pytest.raises(EngineError):
         spspmm(SparseMatrix.empty((3, 3)), SparseMatrix.empty((4, 4)))

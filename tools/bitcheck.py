@@ -1,10 +1,14 @@
-"""Byte check of untrained logits and parameter gradients over 108 model configs.
+"""Byte check of untrained logits, gradients and level-1 pooled adjacency over 108 model configs.
 
 Every combination of attention (M2T, S2T, T2T), fitness (LEConv,
 BasicLEConv, GCN), aggregation (None, OnlyCluster, Both), soft or hard edges
 and cluster radius 1 or 2 builds a 3-block, hidden-16 model from a fixed seed
 and runs one taped forward and backward on a batch of synthetic motif graphs.
-The logits and every parameter gradient are stored as raw float64 arrays:
+The logits and every parameter gradient are stored as raw arrays, and so are
+the ``rows``, ``cols`` and ``values`` of the adjacency that the first pooling
+level builds (``asap_pool_batch`` on the first block's convolution output).
+A coarsening change is thus checked on the pooled adjacency itself, not only
+through the logits:
 
     python3 tools/bitcheck.py --save before.npz     # on one checkout
     python3 tools/bitcheck.py --compare before.npz  # on another
@@ -39,12 +43,17 @@ def configs():
 
 
 def record(batch_size: int) -> dict[str, np.ndarray]:
-    """Logits and parameter gradients of every config, keyed ``<config>/logits`` and ``<config>/<param>``."""
+    """Logits, parameter gradients and first-level pooled adjacency of every config.
+
+    Keys are ``<config>/logits``, ``<config>/<param>`` and
+    ``<config>/level1.adjacency.{rows,cols,values}``.
+    """
     from asap_pool.datasets import synthetic_motif_dataset
-    from asap_pool.engine import Tape
-    from asap_pool.graphs import batch_graphs
+    from asap_pool.engine import Tape, relu
+    from asap_pool.graphs import batch_graphs, normalize_gcn
+    from asap_pool.layers import gcn_forward
     from asap_pool.model import ModelConfig, cross_entropy, forward, init_model
-    from asap_pool.pool import PoolConfig
+    from asap_pool.pool import PoolConfig, asap_pool_batch
 
     dataset = synthetic_motif_dataset(n_graphs=batch_size, seed=7)
     batch = batch_graphs(dataset.graphs)
@@ -61,6 +70,13 @@ def record(batch_size: int) -> dict[str, np.ndarray]:
         for key, tensor in params.items():
             grad = grads.get(tensor)
             out[f"{name}/{key}"] = np.zeros_like(tensor.data) if grad is None else grad
+        a_norm = normalize_gcn(batch.adjacency)
+        x = gcn_forward(batch.features, a_norm, model.blocks[0].gcn, activation=relu)
+        pooled = asap_pool_batch(
+            x, batch.adjacency, batch.node_graph_ids, batch.n_graphs, model.blocks[0].pool, config.pool, a_norm
+        )
+        for part in ("rows", "cols", "values"):
+            out[f"{name}/level1.adjacency.{part}"] = getattr(pooled.adjacency, part)
     return out
 
 
