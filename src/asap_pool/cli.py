@@ -29,6 +29,8 @@ from .datasets import (
 )
 from .graphs import Dataset, graph_from_edges
 from .theory import (
+    _OPTIMUM_NODE_LIMIT,
+    _SAMPLING_NODE_LIMIT,
     balanced_starlike_tree,
     closed_form_optimum,
     optimum_nodes,
@@ -169,6 +171,7 @@ def _command_sweep(args) -> int:
 
 
 def _read_edge_file(path) -> tuple[int, list[tuple[int, int]]]:
+    """Node count and edges of a ``u v`` per line file; a bad line raises ``ValueError`` with ``path:line``."""
     edges = []
     top = -1
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -178,7 +181,14 @@ def _read_edge_file(path) -> tuple[int, list[tuple[int, int]]]:
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{line_no}: expected 'u v', got {raw.strip()!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: node ids must be integers, got {raw.strip()!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"{path}:{line_no}: node ids must be >= 0, got {raw.strip()!r}")
+        if u == v:
+            raise ValueError(f"{path}:{line_no}: self loop on node {u}")
         edges.append((u, v))
         top = max(top, u, v)
     if not edges:
@@ -191,12 +201,22 @@ def _command_theory_optimum(args) -> int:
         if not args.file:
             print("--family file needs --file", file=sys.stderr)
             return 2
-        n, edges = _read_edge_file(args.file)
+        try:
+            n, edges = _read_edge_file(args.file)
+        except ValueError as err:
+            print(err, file=sys.stderr)
+            return 2
+        if n > _OPTIMUM_NODE_LIMIT:
+            print(f"--file has {n} nodes; the exact search is limited to {_OPTIMUM_NODE_LIMIT}", file=sys.stderr)
+            return 2
         graph = graph_from_edges(n, edges)
         closed = None
     else:
         if not args.n:
             print(f"--family {args.family} needs --n", file=sys.stderr)
+            return 2
+        if args.n > _OPTIMUM_NODE_LIMIT:
+            print(f"--n {args.n} is above the exact search's limit of {_OPTIMUM_NODE_LIMIT} nodes", file=sys.stderr)
             return 2
         if args.family == "path":
             graph = path_graph(args.n)
@@ -227,6 +247,13 @@ def _command_theory_kstar(args) -> int:
         return 2
     if args.nmin < args.h + 2:
         print(f"kstar needs --nmin >= --h + 2 = {args.h + 2}: every starlike tree needs a full branch",
+              file=sys.stderr)
+        return 2
+    if args.nmax < args.nmin:
+        print(f"kstar needs --nmax >= --nmin = {args.nmin}: the table would be empty", file=sys.stderr)
+        return 2
+    if args.nmax > _SAMPLING_NODE_LIMIT:
+        print(f"--nmax {args.nmax} is above the subset scan's limit of {_SAMPLING_NODE_LIMIT} nodes",
               file=sys.stderr)
         return 2
     all_ok = True

@@ -10,7 +10,9 @@ Structural helpers here are shared by the layers, the pooling operator and the
 verification lab: symmetric renormalization (the engine's taped
 ``normalize_gcn``, exported from here), h-hop neighborhood patterns, graph
 powers, breadth-first distances, permutation relabeling and Prüfer sequence
-decoding for random trees.
+decoding for random trees. Distances come from one breadth-first search from
+every source at once, each step one call to scipy's compiled sparse-times-dense
+kernel on the adjacency's cached CSR index, with no scipy matrix built.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .engine import SparseMatrix, Tensor, normalize_gcn
 
@@ -244,22 +247,31 @@ def graph_power(a: SparseMatrix, p: int) -> SparseMatrix:
 
 
 def bfs_distances(a: SparseMatrix) -> np.ndarray:
-    """All-pairs hop distances (``-1`` for unreachable) via repeated frontier expansion."""
+    """All-pairs hop distances, ``dist[s, v]`` from ``s`` to ``v`` (``-1`` for unreachable).
+
+    One level-synchronous breadth-first search from every source at once: an
+    ``n x n`` frontier holds in column ``s`` the nodes first reached from
+    ``s``, and each step is one sparse x dense product by scipy's
+    ``csc_matvecs`` on ``a``'s CSR index with unit values. Read as CSC, those
+    arrays are ``aᵀ``, so an entry ``(u, v)`` leads from ``u`` to ``v``.
+    Every stored entry is an edge, explicit ``0.0`` values included.
+    """
     n = a.shape[0]
     dist = np.full((n, n), -1, dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    if a.nnz == 0 or n == 0:
-        return dist
-    frontier = _pattern_csr(a) + sp.identity(n, dtype=bool, format="csr")
-    reached = sp.identity(n, dtype=bool, format="csr")
+    dist_t = dist.T  # [v, s], laid out like the frontier
+    indices, indptr = a.csr_index()
+    ones = np.ones(a.nnz)
+    frontier = np.eye(n)
     step = 1
-    while step <= n:
-        nxt = (reached @ frontier).astype(bool).tocsr()
-        fresh = nxt.toarray() & (dist < 0)
+    while a.nnz:
+        reached = np.zeros((n, n))
+        _sparsetools.csc_matvecs(n, n, n, indptr, indices, ones, frontier.ravel(), reached.ravel())
+        fresh = (reached > 0.0) & (dist_t < 0)
         if not fresh.any():
             break
-        dist[fresh] = step
-        reached = nxt
+        dist_t[fresh] = step
+        frontier = fresh.astype(np.float64)
         step += 1
     return dist
 

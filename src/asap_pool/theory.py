@@ -2,9 +2,9 @@
 
 Everything here is exact and small-scale: distances by breadth-first search,
 maximum spread-out node sets by branch-and-bound over bitmasks, minimum
-sampling fractions by full subset enumeration, tree families by explicit
-construction or exhaustive isomorphism-free generation. The point is to check
-the closed-form results the pooling design leans on:
+sampling fractions by a table over every node subset, tree families by
+explicit construction or exhaustive isomorphism-free generation. The point is
+to check the closed-form results the pooling design leans on:
 
 * the largest set of nodes pairwise ``>= h`` hops apart on paths and balanced
   starlike trees matches the closed forms ``ceil(N/h)`` and
@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .engine import SparseMatrix, Tensor
-from .graphs import Graph, bfs_distances, graph_from_edges, h_hop_membership, graph_power, permute_graph, prufer_to_edges
+from .graphs import Graph, bfs_distances, graph_from_edges, h_hop_membership, graph_power, permute_graph
 from .layers import LEConvParams
 from .pool import PoolConfig, PoolParams, asap_pool, coarsen_adjacency
 
@@ -47,7 +46,6 @@ __all__ = [
     "min_sampling_ratio",
     "closed_form_path_ratio",
     "enumerate_trees",
-    "enumerate_trees_prufer",
     "tree_canonical_code",
     "verify_tree_bounds",
     "verify_graph_power",
@@ -128,17 +126,12 @@ class OptimumResult:
     witness: tuple[int, ...]
 
 
-def _conflict_masks(dist: np.ndarray, h: int) -> list[int]:
-    """Bitmask per node of the other nodes strictly closer than ``h`` hops."""
+def _conflict_masks(dist: np.ndarray, h: int) -> np.ndarray:
+    """Bitmask per node ``u`` of the other nodes ``v`` with ``0 <= dist[u, v] < h``."""
     n = dist.shape[0]
-    masks = [0] * n
-    for u in range(n):
-        mask = 0
-        for v in range(n):
-            if u != v and 0 <= dist[u, v] < h:
-                mask |= 1 << v
-        masks[u] = mask
-    return masks
+    near = (dist >= 0) & (dist < h)
+    np.fill_diagonal(near, False)
+    return near.astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
 
 
 def optimum_nodes(a: SparseMatrix, h: int) -> OptimumResult:
@@ -153,7 +146,7 @@ def optimum_nodes(a: SparseMatrix, h: int) -> OptimumResult:
         raise ValueError(f"exact search is limited to {_OPTIMUM_NODE_LIMIT} nodes, got {n}")
     if h < 1:
         raise ValueError("h must be >= 1")
-    conflicts = _conflict_masks(bfs_distances(a), h)
+    conflicts = _conflict_masks(bfs_distances(a), h).tolist()
     best_size = 0
     best_mask = 0
 
@@ -214,30 +207,31 @@ class SamplingResult:
 def min_sampling_ratio(a: SparseMatrix, reach: int) -> SamplingResult:
     """Exhaustive minimum sampling fraction for a given pooled-edge reach.
 
-    Scans every node subset (hence the 16-node cap) for the largest one
-    containing no pair within ``reach`` hops; one more node than that forces
-    an edge in the pooled graph, and the ratio is that count over ``N``.
+    Tabulates every node subset (hence the 16-node cap) as edge-free or not,
+    where a pair ``u < v`` is an edge when ``v`` is within ``reach`` hops of
+    ``u``, and takes the largest edge-free subset; one more node than that
+    forces an edge in the pooled graph, and the ratio is that count over
+    ``N``. The table is filled by highest node: the subsets whose highest
+    node is ``v`` are ``v`` added to each subset of the lower nodes, so each
+    node costs one vectorised pass over the ``2^v`` subsets before it. The
+    witness is the smallest bitmask among the largest edge-free subsets.
     """
     n = a.shape[0]
     if n > _SAMPLING_NODE_LIMIT:
         raise ValueError(f"subset scan is limited to {_SAMPLING_NODE_LIMIT} nodes, got {n}")
     if reach < 1:
         raise ValueError("reach must be >= 1")
-    close = _conflict_masks(bfs_distances(a), reach + 1)
-    # close[u] now flags nodes within `reach` hops of u (dist <= reach, != u).
-    edge_free = np.zeros(1 << n, dtype=bool)
-    edge_free[0] = True
-    best_size, best_mask = 0, 0
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        ok = edge_free[rest] and not (close[v] & rest)
-        edge_free[mask] = ok
-        if ok:
-            size = mask.bit_count()
-            if size > best_size:
-                best_size, best_mask = size, mask
+    # close[v] flags the lower nodes u with dist(u, v) <= reach.
+    close = _conflict_masks(bfs_distances(a).T, reach + 1)
+    masks = np.arange(1 << n, dtype=np.int64)
+    edge_free = np.ones(1 << n, dtype=bool)
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    for v in range(n):
+        low = 1 << v
+        np.logical_and(edge_free[:low], (masks[:low] & close[v]) == 0, out=edge_free[low : 2 * low])
+        np.add(sizes[:low], 1, out=sizes[low : 2 * low])
+    best_mask = int(np.argmax(np.where(edge_free, sizes, 0)))
+    best_size = int(sizes[best_mask])
     witness = tuple(v for v in range(n) if best_mask >> v & 1)
     return SamplingResult(
         n_nodes=n,
@@ -313,29 +307,6 @@ def enumerate_trees(n: int) -> list[list[tuple[int, int]]]:
                     seen[code] = candidate
         trees = [seen[code] for code in sorted(seen)]
     return trees
-
-
-def enumerate_trees_prufer(n: int) -> list[list[tuple[int, int]]]:
-    """Tree enumeration by decoding every possible sequence (small ``n`` only).
-
-    Exponentially slower than :func:`enumerate_trees`; kept as an independent
-    cross-check of the generator.
-    """
-    if n < 1:
-        raise ValueError("trees need at least one node")
-    if n == 1:
-        return [[]]
-    if n == 2:
-        return [[(0, 1)]]
-    if n > 8:
-        raise ValueError("sequence enumeration is impractical beyond 8 nodes")
-    seen: dict[tuple, list[tuple[int, int]]] = {}
-    for seq in product(range(n), repeat=n - 2):
-        edges = prufer_to_edges(seq, n)
-        code = tree_canonical_code(n, edges)
-        if code not in seen:
-            seen[code] = edges
-    return [seen[code] for code in sorted(seen)]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import pytest
 
 from asap_pool.cli import main
+from asap_pool.theory import _OPTIMUM_NODE_LIMIT, _SAMPLING_NODE_LIMIT
 
 from test_datasets import BASE_FILES, write_fixture
 
@@ -160,6 +161,42 @@ def test_theory_optimum_from_edge_file(tmp_path, capsys):
     assert "nodes=4 h=2 optimum=2" in out
 
 
+@pytest.mark.parametrize(
+    "line, problem",
+    [("1 x", "integers"), ("1 1", "self loop"), ("-1 2", ">= 0")],
+)
+def test_theory_optimum_reports_a_bad_edge_line_with_its_number(tmp_path, line, problem, capsys):
+    edge_file = tmp_path / "edges.txt"
+    edge_file.write_text(f"# header\n0 1\n{line}\n2 3\n")
+    code, out, err = run(
+        ["theory", "optimum", "--family", "file", "--h", "2", "--file", str(edge_file)],
+        capsys,
+    )
+    assert code == 2
+    assert f"{edge_file}:3:" in err
+    assert problem in err
+    assert out == ""
+
+
+def test_theory_optimum_rejects_graphs_above_the_search_limit(tmp_path, capsys):
+    too_many = _OPTIMUM_NODE_LIMIT + 1
+    code, out, err = run(
+        ["theory", "optimum", "--family", "path", "--n", str(too_many), "--h", "2"], capsys
+    )
+    assert code == 2
+    assert "--n" in err and str(_OPTIMUM_NODE_LIMIT) in err
+    assert out == ""
+
+    edge_file = tmp_path / "edges.txt"
+    edge_file.write_text("".join(f"{i} {i + 1}\n" for i in range(too_many - 1)))
+    code, out, err = run(
+        ["theory", "optimum", "--family", "file", "--h", "2", "--file", str(edge_file)], capsys
+    )
+    assert code == 2
+    assert "--file" in err and str(_OPTIMUM_NODE_LIMIT) in err
+    assert out == ""
+
+
 def test_theory_optimum_file_requires_path(capsys):
     code, _, err = run(["theory", "optimum", "--family", "file", "--h", "2"], capsys)
     assert code == 2
@@ -185,6 +222,21 @@ def test_theory_kstar_rejects_values_without_a_starlike_tree(argv, flag, capsys)
     code, out, err = run(["theory", "kstar", *argv], capsys)
     assert code == 2
     assert flag in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag, limit",
+    [
+        (["--nmin", "5", "--nmax", "4"], "--nmax", "--nmin = 5"),
+        (["--nmax", str(_SAMPLING_NODE_LIMIT + 1)], "--nmax", str(_SAMPLING_NODE_LIMIT)),
+    ],
+)
+def test_theory_kstar_rejects_an_empty_or_unscannable_size_range(argv, flag, limit, capsys):
+    code, out, err = run(["theory", "kstar", *argv], capsys)
+    assert code == 2
+    assert flag in err and limit in err
     assert "Traceback" not in err
     assert out == ""
 

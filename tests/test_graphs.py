@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asap_pool.graphs import (
@@ -23,12 +23,16 @@ from asap_pool.graphs import (
 from asap_pool.engine import SparseMatrix, Tensor
 
 
-def bfs_oracle(n, edge_list):
-    """Plain queue-based all-pairs BFS; -1 marks unreachable pairs."""
+def bfs_oracle(n, edge_list, directed=False):
+    """Plain queue-based all-pairs BFS; -1 marks unreachable pairs.
+
+    With ``directed``, an edge ``(u, v)`` leads from ``u`` to ``v`` only.
+    """
     adj = [[] for _ in range(n)]
     for u, v in edge_list:
         adj[u].append(v)
-        adj[v].append(u)
+        if not directed:
+            adj[v].append(u)
     dist = np.full((n, n), -1, dtype=np.int64)
     for s in range(n):
         dist[s, s] = 0
@@ -154,6 +158,26 @@ def test_bfs_distances_matches_queue_oracle(seed):
     n = int(rng.integers(2, 10))
     g, edges = random_graph(rng, n)
     np.testing.assert_array_equal(bfs_distances(g.adjacency), bfs_oracle(n, edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.integers(0, 10**6))
+@example(0, 0.0, 0.0, 0)
+@example(1, 0.0, 0.0, 0)
+@example(1, 1.0, 0.0, 0)
+@example(6, 0.0, 0.0, 0)
+@example(30, 0.5, 1.0, 0)
+def test_property_bfs_distances_matches_queue_oracle_on_directed_patterns(n, edge_prob, zero_prob, seed):
+    # Asymmetric patterns with self loops, isolated nodes and explicit 0.0
+    # values (all of them at zero_prob 1): every stored entry (u, v) is an
+    # edge from u to v.
+    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(rng.random((n, n)) < edge_prob)
+    values = np.where(rng.random(rows.size) < zero_prob, 0.0, rng.random(rows.size) + 0.5)
+    a = SparseMatrix((n, n), rows, cols, values)
+    dist = bfs_distances(a)
+    assert dist.dtype == np.int64 and dist.flags.c_contiguous
+    np.testing.assert_array_equal(dist, bfs_oracle(n, zip(rows.tolist(), cols.tolist()), directed=True))
 
 
 def test_h_hop_membership_is_distance_ball():

@@ -21,7 +21,6 @@ from asap_pool.theory import (
     closed_form_path_ratio,
     edge_reach,
     enumerate_trees,
-    enumerate_trees_prufer,
     min_sampling_ratio,
     optimum_nodes,
     path_graph,
@@ -52,6 +51,51 @@ def spread_oracle(a, h):
             if ok:
                 return size
     return best
+
+
+def enumerate_trees_prufer(n):
+    """Tree enumeration by decoding every Prüfer sequence (small ``n`` only).
+
+    Exponentially slower than ``enumerate_trees``; an independent cross-check
+    of the generator.
+    """
+    if n == 1:
+        return [[]]
+    if n == 2:
+        return [[(0, 1)]]
+    seen = {}
+    for seq in itertools.product(range(n), repeat=n - 2):
+        edges = prufer_to_edges(seq, n)
+        code = tree_canonical_code(n, edges)
+        if code not in seen:
+            seen[code] = edges
+    return [seen[code] for code in sorted(seen)]
+
+
+def ascending_mask_scan(a, reach):
+    """``(max_spread_size, spread_witness, ratio)`` by the one-mask-at-a-time scan.
+
+    Each mask in ascending order is edge-free when the mask without its lowest
+    node ``v`` is, and no other node of it lies within ``reach`` hops of
+    ``v``; the first mask of the largest size found is the witness.
+    """
+    n = a.shape[0]
+    dist = bfs_distances(a)
+    close = [
+        sum(1 << v for v in range(n) if u != v and 0 <= dist[u, v] <= reach) for u in range(n)
+    ]
+    edge_free = [True] * (1 << n)
+    best_size, best_mask = 0, 0
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        edge_free[mask] = edge_free[rest] and not close[v] & rest
+        size = bin(mask).count("1")
+        if edge_free[mask] and size > best_size:
+            best_size, best_mask = size, mask
+    witness = tuple(v for v in range(n) if best_mask >> v & 1)
+    return best_size, witness, Fraction(best_size + 1, n)
 
 
 def random_graph(rng, n, edge_prob):
@@ -185,6 +229,21 @@ def test_min_sampling_witness_has_no_close_pair():
     dist = bfs_distances(g.adjacency)
     for u, v in itertools.combinations(result.spread_witness, 2):
         assert dist[u, v] > 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10**6), st.integers(1, 4))
+def test_min_sampling_matches_ascending_mask_scan(n, edge_prob, seed, reach):
+    g = random_graph(np.random.default_rng(seed), n, edge_prob)
+    result = min_sampling_ratio(g.adjacency, reach)
+    assert (result.max_spread_size, result.spread_witness, result.ratio) == ascending_mask_scan(g.adjacency, reach)
+
+
+@pytest.mark.parametrize("reach", [1, 2, 3, 4])
+def test_min_sampling_matches_ascending_mask_scan_at_the_node_limit(reach):
+    a = path_graph(16).adjacency
+    result = min_sampling_ratio(a, reach)
+    assert (result.max_spread_size, result.spread_witness, result.ratio) == ascending_mask_scan(a, reach)
 
 
 def test_path_sampling_matches_closed_form():

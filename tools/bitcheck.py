@@ -1,4 +1,4 @@
-"""Byte check of untrained logits, gradients and level-1 pooled adjacency over 108 model configs.
+"""Byte check of the model's 108 configs and of the verification lab's outputs.
 
 Every combination of attention (M2T, S2T, T2T), fitness (LEConv,
 BasicLEConv, GCN), aggregation (None, OnlyCluster, Both), soft or hard edges
@@ -8,7 +8,13 @@ The logits and every parameter gradient are stored as raw arrays, and so are
 the ``rows``, ``cols`` and ``values`` of the adjacency that the first pooling
 level builds (``asap_pool_batch`` on the first block's convolution output).
 A coarsening change is thus checked on the pooled adjacency itself, not only
-through the logits:
+through the logits.
+
+The lab's outputs are stored too: for every tree with 3-10 nodes its
+``bfs_distances`` and its ``min_sampling_ratio`` size and witness at reach
+1-4; the ``verify_tree_bounds(n, h=1)`` rows for the same sizes, as
+numerator and denominator arrays; and the ``optimum_nodes`` witnesses of the
+paths and balanced starlike trees that acceptance criterion 4 checks:
 
     python3 tools/bitcheck.py --save before.npz     # on one checkout
     python3 tools/bitcheck.py --compare before.npz  # on another
@@ -80,6 +86,43 @@ def record(batch_size: int) -> dict[str, np.ndarray]:
     return out
 
 
+def record_lab() -> dict[str, np.ndarray]:
+    """Distances, sampling results, tree-bound rows and optimum witnesses of the lab.
+
+    Keys are ``lab/tree<n>.<i>/distances`` and ``lab/tree<n>.<i>/reach<r>.{size,witness}``
+    for the ``i``-th tree ``enumerate_trees(n)`` lists, ``lab/bounds<n>.h1.{numerators,
+    denominators,counts}`` and ``lab/{path,starlike}<n>.h<h>.witness``.
+    """
+    from asap_pool.graphs import bfs_distances, graph_from_edges
+    from asap_pool.theory import (
+        balanced_starlike_tree, enumerate_trees, min_sampling_ratio, optimum_nodes, path_graph, verify_tree_bounds,
+    )
+
+    out = {}
+    for n in range(3, 11):
+        for i, edges in enumerate(enumerate_trees(n)):
+            a = graph_from_edges(n, edges).adjacency
+            out[f"lab/tree{n}.{i}/distances"] = bfs_distances(a)
+            for reach in (1, 2, 3, 4):
+                result = min_sampling_ratio(a, reach)
+                out[f"lab/tree{n}.{i}/reach{reach}.size"] = np.array(result.max_spread_size)
+                out[f"lab/tree{n}.{i}/reach{reach}.witness"] = np.array(result.spread_witness, dtype=np.int64)
+        row = verify_tree_bounds(n, h=1)
+        ratios = (row.worst_topk, row.worst_asap, row.starlike_topk, row.starlike_asap)
+        out[f"lab/bounds{n}.h1.numerators"] = np.array([r.numerator for r in ratios])
+        out[f"lab/bounds{n}.h1.denominators"] = np.array([r.denominator for r in ratios])
+        out[f"lab/bounds{n}.h1.counts"] = np.array([row.n_trees, row.asap_never_worse])
+    for n in range(2, 21):
+        for h in (1, 2, 3, 4):
+            witness = optimum_nodes(path_graph(n).adjacency, h).witness
+            out[f"lab/path{n}.h{h}.witness"] = np.array(witness, dtype=np.int64)
+    for h in (2, 4, 6):
+        for n in range(h // 2 + 2, 21):
+            witness = optimum_nodes(balanced_starlike_tree(n, h).adjacency, h).witness
+            out[f"lab/starlike{n}.h{h}.witness"] = np.array(witness, dtype=np.int64)
+    return out
+
+
 def compare(got: dict[str, np.ndarray], stored) -> list[str]:
     """Keys whose arrays differ in shape or in any byte, or exist on one side only."""
     diffs = sorted(set(got) ^ set(stored.files))
@@ -99,17 +142,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    arrays = record(args.batch)
+    arrays = record(args.batch) | record_lab()
     n_configs = len(list(configs()))
     if args.save:
         np.savez(args.save, **arrays)
-        print(f"wrote {len(arrays)} arrays for {n_configs} configs to {args.save}")
+        print(f"wrote {len(arrays)} arrays for {n_configs} configs and the lab to {args.save}")
         return 0
     with np.load(args.compare) as stored:
         diffs = compare(arrays, stored)
     for key in diffs:
         print(f"differs: {key}")
-    print(f"{n_configs} configs, {len(arrays)} arrays: {len(diffs)} differ")
+    print(f"{n_configs} configs and the lab, {len(arrays)} arrays: {len(diffs)} differ")
     return 1 if diffs else 0
 
 
