@@ -15,6 +15,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -144,10 +145,10 @@ def _command_ingest(args) -> int:
 def _command_train(args) -> int:
     dataset = _load_dataset(args)
     config = TrainConfig.from_file(args.config) if args.config else TrainConfig()
+    if args.folds is not None:
+        config = dataclasses.replace(config, folds=args.folds)
     seeds = [config.seed + i for i in range(args.seeds)]
-    result = train(
-        dataset, config, seeds=seeds, out_dir=args.out, folds=args.folds, log=print
-    )
+    result = train(dataset, config, seeds=seeds, out_dir=args.out, log=print)
     print(result.summary_line())
     if args.out:
         print(f"metrics written to {Path(args.out) / 'metrics.csv'}")
@@ -197,6 +198,9 @@ def _read_edge_file(path) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _command_theory_optimum(args) -> int:
+    if args.h < 1:
+        print(f"optimum needs --h >= 1, got {args.h}", file=sys.stderr)
+        return 2
     if args.family == "file":
         if not args.file:
             print("--family file needs --file", file=sys.stderr)
@@ -212,8 +216,16 @@ def _command_theory_optimum(args) -> int:
         graph = graph_from_edges(n, edges)
         closed = None
     else:
-        if not args.n:
+        if args.n is None:
             print(f"--family {args.family} needs --n", file=sys.stderr)
+            return 2
+        if args.family == "star" and args.h % 2:
+            print("the starlike family is defined for even --h", file=sys.stderr)
+            return 2
+        # A path needs one node; a starlike tree, its root and one full branch of --h / 2 nodes.
+        smallest = 1 if args.family == "path" else args.h // 2 + 1
+        if args.n < smallest:
+            print(f"--family {args.family} needs --n >= {smallest}, got {args.n}", file=sys.stderr)
             return 2
         if args.n > _OPTIMUM_NODE_LIMIT:
             print(f"--n {args.n} is above the exact search's limit of {_OPTIMUM_NODE_LIMIT} nodes", file=sys.stderr)
@@ -222,9 +234,6 @@ def _command_theory_optimum(args) -> int:
             graph = path_graph(args.n)
             closed = closed_form_optimum("path", args.n, args.h)
         else:
-            if args.h % 2:
-                print("the starlike family is defined for even --h", file=sys.stderr)
-                return 2
             graph = balanced_starlike_tree(args.n, args.h)
             closed = closed_form_optimum("balanced_starlike", args.n, args.h)
 
@@ -273,6 +282,10 @@ def _command_theory_kstar(args) -> int:
 
 
 def _command_theory_equivariance(args) -> int:
+    for flag, value, smallest in (("--trials", args.trials, 1), ("--nodes", args.nodes, 1), ("--seed", args.seed, 0)):
+        if value < smallest:
+            print(f"equivariance needs {flag} >= {smallest}, got {value}", file=sys.stderr)
+            return 2
     report = verify_equivariance(n_trials=args.trials, seed=args.seed, n_nodes=args.nodes)
     print(
         f"{report.n_passed}/{report.n_trials} relabeling trials commute "

@@ -32,7 +32,6 @@ __all__ = [
     "concat_cols",
     "segment_reduce",
     "segment_softmax",
-    "scatter_add_rows",
 ]
 
 # When true, every op asserts its output is finite; enabled by the test suite.
@@ -160,18 +159,6 @@ def reduce_sum(x: Tensor) -> Tensor:
     return out
 
 
-def scatter_add_rows(n_rows: int, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sum ``rows[k]`` into an ``n_rows``-row zero matrix at row ``indices[k]``.
-
-    Plain-numpy helper (not taped); duplicate indices accumulate. One flat
-    ``bincount`` over (row, column) slots does the whole scatter.
-    """
-    d = rows.shape[1]
-    slots = (np.asarray(indices, dtype=np.int64).reshape(-1, 1) * d + np.arange(d)).ravel()
-    summed = np.bincount(slots, weights=rows.ravel(), minlength=n_rows * d)
-    return summed.reshape(n_rows, d)
-
-
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows ``x[indices[k]]`` (duplicates allowed)."""
     idx = np.asarray(indices, dtype=np.int64).ravel()
@@ -181,7 +168,10 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     out = _out(x.data[idx])
 
     def backward(grad, accumulate):
-        accumulate(x, scatter_add_rows(n, idx, grad))
+        # One flat bincount over (row, column) slots; duplicate indices accumulate.
+        d = grad.shape[1]
+        slots = (idx[:, None] * d + np.arange(d)).ravel()
+        accumulate(x, np.bincount(slots, weights=grad.ravel(), minlength=n * d).reshape(n, d))
 
     record(out, (x,), backward)
     return out

@@ -7,11 +7,10 @@ taped operations are tracked, and leaves created with ``requires_grad=True``
 receive a per-entry gradient vector on ``.grad``.
 
 Sparse × dense and sparse × sparse products call scipy's compiled CSR
-kernels (``_sparsetools``) directly on each operand's cached CSR index
-arrays, so the training path builds no scipy matrix objects
-(:meth:`SparseMatrix.csr` builds one for a caller that wants it). The
-pattern bookkeeping (selection, transposes, unions) is done here so
-gradients can be routed entry-for-entry.
+kernels (``_sparsetools``) on each operand's CSR index: its own int64
+``cols`` and a cached ``indptr``. The pattern bookkeeping (selection,
+transposes, unions) is done here so gradients can be routed
+entry-for-entry.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ __all__ = [
 
 
 def _encode(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
-    return rows.astype(np.int64) * np.int64(n_cols) + cols.astype(np.int64)
+    return rows * np.int64(n_cols) + cols
 
 
 class SparseMatrix:
@@ -102,17 +101,16 @@ class SparseMatrix:
         return self.values.shape[0]
 
     def csr_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indices, indptr)`` of the pattern, in the index dtype scipy picks (cached).
+        """CSR ``(indices, indptr)`` of the pattern: ``cols`` itself and a cached int64 ``indptr``.
 
         The pattern is already row-major and unique, so ``indptr`` is just the
-        running count of entries per row; no COO conversion is needed.
+        running count of entries per row.
         """
         if self._index is None:
             n_rows = self.shape[0]
-            dtype = _index_dtype(max(self.nnz, n_rows, self.shape[1]))
-            indptr = np.zeros(n_rows + 1, dtype=dtype)
+            indptr = np.zeros(n_rows + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.rows, minlength=n_rows), out=indptr[1:])
-            self._index = (self.cols.astype(dtype), indptr)
+            self._index = (self.cols, indptr)
         return self._index
 
     def csr(self) -> sp.csr_matrix:
@@ -144,14 +142,6 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz}{flag})"
 
 
-_INT32_MAX = np.iinfo(np.int32).max
-
-
-def _index_dtype(bound: int):
-    """The index dtype scipy picks for index arrays that hold values up to ``bound``."""
-    return np.int32 if bound <= _INT32_MAX else np.int64
-
-
 def _csr_transpose(shape, index, values: np.ndarray):
     """CSR ``(indices, indptr)`` and values of a CSR matrix's transpose, by scipy's ``csr_tocsc``.
 
@@ -160,8 +150,8 @@ def _csr_transpose(shape, index, values: np.ndarray):
     """
     indices, indptr = index
     n_rows, n_cols = shape
-    t_indptr = np.empty(n_cols + 1, dtype=indptr.dtype)
-    t_indices = np.empty(indices.shape[0], dtype=indptr.dtype)
+    t_indptr = np.empty(n_cols + 1, dtype=np.int64)
+    t_indices = np.empty(indices.shape[0], dtype=np.int64)
     t_values = np.empty(indices.shape[0])
     _sparsetools.csr_tocsc(n_rows, n_cols, indptr, indices, values, t_indptr, t_indices, t_values)
     return (t_indices, t_indptr), t_values
@@ -176,13 +166,9 @@ def _csr_product(n_rows, n_cols, a_index, a_values, b_index, b_values):
     a sum that is exactly zero is not stored.
     """
     (a_indices, a_indptr), (b_indices, b_indptr) = a_index, b_index
-    arrays = (a_indptr, a_indices, b_indptr, b_indices)
-    dtype = np.result_type(*arrays)
-    bound = _sparsetools.csr_matmat_maxnnz(n_rows, n_cols, *(arr.astype(dtype, copy=False) for arr in arrays))
-    dtype = np.promote_types(dtype, _index_dtype(bound))
-    a_indptr, a_indices, b_indptr, b_indices = (arr.astype(dtype, copy=False) for arr in arrays)
-    indptr = np.empty(n_rows + 1, dtype=dtype)
-    indices = np.empty(bound, dtype=dtype)
+    bound = _sparsetools.csr_matmat_maxnnz(n_rows, n_cols, a_indptr, a_indices, b_indptr, b_indices)
+    indptr = np.empty(n_rows + 1, dtype=np.int64)
+    indices = np.empty(bound, dtype=np.int64)
     values = np.empty(bound)
     _sparsetools.csr_matmat(
         n_rows, n_cols, a_indptr, a_indices, a_values, b_indptr, b_indices, b_values, indptr, indices, values
@@ -202,8 +188,7 @@ def _sample(pattern: SparseMatrix, index, values: np.ndarray) -> np.ndarray:
     indices, indptr = index
     out = np.empty(pattern.nnz)
     _sparsetools.csr_sample_values(
-        pattern.shape[0], pattern.shape[1], indptr, indices, values, pattern.nnz,
-        pattern.rows.astype(indptr.dtype), pattern.cols.astype(indptr.dtype), out,
+        pattern.shape[0], pattern.shape[1], indptr, indices, values, pattern.nnz, pattern.rows, pattern.cols, out
     )
     return out
 
@@ -224,13 +209,7 @@ def _sampled_dot(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarra
 
 
 def _compressed_times_dense(kernel, shape, indptr, indices, values, dense: np.ndarray) -> np.ndarray:
-    """``M @ dense`` by scipy's own ``csr_matvecs``/``csc_matvecs`` kernel, for ``M`` given by its arrays.
-
-    Building a scipy matrix checks its index arrays on every call, which
-    costs more than the product itself on small graphs. A matrix's CSR index
-    is cached with its pattern and a cluster layout's arrays were checked
-    once, so their products call the kernel directly.
-    """
+    """``M @ dense`` by scipy's own ``csr_matvecs``/``csc_matvecs`` kernel, for ``M`` given by its int64 arrays."""
     out = np.zeros((shape[0], dense.shape[1]))
     kernel(shape[0], shape[1], dense.shape[1], indptr, indices, values,
            np.ascontiguousarray(dense).ravel(), out.ravel())
@@ -428,14 +407,6 @@ def _position_map(idx: np.ndarray, size: int, what: str) -> np.ndarray:
     return lookup
 
 
-def _renumbered(s: SparseMatrix, shape, new_rows: np.ndarray, new_cols: np.ndarray) -> SparseMatrix:
-    """Entries whose new row and column are both >= 0, re-sorted into canonical order."""
-    keep = np.flatnonzero((new_rows >= 0) & (new_cols >= 0))
-    rows, cols = new_rows[keep], new_cols[keep]
-    order = np.lexsort((cols, rows))
-    return _take_entries(s, shape, keep[order], rows[order], cols[order])
-
-
 def sparse_select_rows(s: SparseMatrix, row_indices) -> SparseMatrix:
     """Keep the rows listed in ``row_indices``, renumbered to that order.
 
@@ -445,7 +416,7 @@ def sparse_select_rows(s: SparseMatrix, row_indices) -> SparseMatrix:
     row_indices = np.asarray(row_indices, dtype=np.int64).ravel()
     _position_map(row_indices, s.shape[0], "row")
     indptr = s.csr_index()[1]
-    starts = indptr[row_indices].astype(np.int64)
+    starts = indptr[row_indices]
     counts = indptr[row_indices + 1] - starts
     offsets = np.cumsum(counts) - counts
     source = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
@@ -459,7 +430,10 @@ def sparse_submatrix(s: SparseMatrix, row_indices, col_indices) -> SparseMatrix:
     col_indices = np.asarray(col_indices, dtype=np.int64).ravel()
     new_rows = _position_map(row_indices, s.shape[0], "row")[s.rows]
     new_cols = _position_map(col_indices, s.shape[1], "column")[s.cols]
-    return _renumbered(s, (row_indices.shape[0], col_indices.shape[0]), new_rows, new_cols)
+    keep = np.flatnonzero((new_rows >= 0) & (new_cols >= 0))
+    rows, cols = new_rows[keep], new_cols[keep]
+    order = np.lexsort((cols, rows))
+    return _take_entries(s, (row_indices.shape[0], col_indices.shape[0]), keep[order], rows[order], cols[order])
 
 
 # np.add.reduceat adds a segment's first row to numpy's sum of the others,
@@ -508,7 +482,7 @@ class ClusterLayout:
         rest = np.ones(pattern.nnz, dtype=bool)
         rest[self.starts] = False
         self.rest_pairs = np.flatnonzero(rest)
-        self.rest_index = (indices[self.rest_pairs], indptr - np.arange(n + 1, dtype=indptr.dtype))
+        self.rest_index = (indices[self.rest_pairs], indptr - np.arange(n + 1))
         self.wide = np.flatnonzero(counts > _LEFT_TO_RIGHT_MEMBERS)
         self.by_size = np.argsort(-counts, kind="stable")
         self.heads = self.starts[self.by_size]

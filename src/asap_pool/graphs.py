@@ -200,15 +200,12 @@ def permute_graph(g: Graph, perm) -> Graph:
     return Graph(adjacency=adjacency, features=Tensor(features), label=g.label)
 
 
-def _pattern_csr(a: SparseMatrix) -> sp.csr_matrix:
-    indices, indptr = a.csr_index()
-    return sp.csr_matrix((np.ones(a.nnz, dtype=bool), indices, indptr), shape=a.shape)
-
-
 def _reach_pattern(a: SparseMatrix, steps: int) -> SparseMatrix:
     """Pattern of node pairs within ``steps`` hops (self included), as 1.0 entries."""
     n = a.shape[0]
-    base = _pattern_csr(a) + sp.identity(n, dtype=bool, format="csr")
+    indices, indptr = a.csr_index()
+    base = sp.csr_matrix((np.ones(a.nnz, dtype=bool), indices, indptr), shape=a.shape)
+    base = base + sp.identity(n, dtype=bool, format="csr")
     reach = base
     for _ in range(steps - 1):
         reach = (reach @ base).astype(bool)

@@ -95,9 +95,6 @@ class Model:
         out["head.out.b"] = self.head_out_b
         return out
 
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.parameters().values())
-
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
     """Glorot-initialized model (biases start at zero)."""

@@ -199,10 +199,6 @@ class SamplingResult:
     ratio: Fraction  # min_count / n_nodes
     spread_witness: tuple[int, ...]
 
-    @property
-    def achievable(self) -> bool:
-        return self.min_count <= self.n_nodes
-
 
 def min_sampling_ratio(a: SparseMatrix, reach: int) -> SamplingResult:
     """Exhaustive minimum sampling fraction for a given pooled-edge reach.

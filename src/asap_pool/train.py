@@ -107,16 +107,7 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
         """Parse a flat ``key = value`` text file (one pair per line, # comments)."""
-        values = {}
-        for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
-        return cls.from_strings(values)
+        return cls.from_strings({key: value for _, key, value in _key_value_lines(path, "key = value")})
 
     @classmethod
     def from_strings(cls, values: dict[str, str]) -> "TrainConfig":
@@ -128,6 +119,18 @@ class TrainConfig:
     def to_file(self, path) -> None:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _key_value_lines(path, expected: str):
+    """``(line number, key, value)`` of each ``key = value`` line of a text file; ``#`` starts a comment."""
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected '{expected}', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield line_no, key, value
 
 
 def _convert_field(cls, key: str, value: str):
@@ -395,7 +398,6 @@ def train(
     config: TrainConfig,
     seeds=None,
     out_dir=None,
-    folds: int | None = None,
     log=None,
 ) -> TrainResult:
     """Cross-validated training over one or more seeds.
@@ -405,7 +407,6 @@ def train(
     non-finite is recorded as diverged and the remaining folds continue.
     """
     seeds = [config.seed] if seeds is None else list(seeds)
-    n_folds = config.folds if folds is None else folds
     out_path = None
     if out_dir is not None:
         out_path = Path(out_dir)
@@ -413,7 +414,7 @@ def train(
 
     result = TrainResult(config=config)
     for seed in seeds:
-        splits = kfold_split(len(dataset), n_folds, seed)
+        splits = kfold_split(len(dataset), config.folds, seed)
         for fold, split in enumerate(splits):
             checkpoint = out_path / f"checkpoint_seed{seed}_fold{fold}.npz" if out_path else None
             try:
@@ -452,13 +453,7 @@ def train(
 def parse_grid(path) -> dict[str, list]:
     """Parse a sweep grid file: ``key = v1, v2, v3`` per line, # comments."""
     grid: dict[str, list] = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected 'key = v1, v2, ...'")
-        key, rest = (part.strip() for part in line.split("=", 1))
+    for line_no, key, rest in _key_value_lines(path, "key = v1, v2, ..."):
         values = [v.strip() for v in rest.split(",") if v.strip()]
         if not values:
             raise ValueError(f"{path}:{line_no}: no values for {key!r}")

@@ -3,6 +3,7 @@
 import pytest
 
 from asap_pool.cli import main
+from asap_pool.model import load_checkpoint
 from asap_pool.theory import _OPTIMUM_NODE_LIMIT, _SAMPLING_NODE_LIMIT
 
 from test_datasets import BASE_FILES, write_fixture
@@ -98,6 +99,26 @@ def test_train_folds_override(tmp_path, capsys):
     )
     assert code == 0
     assert out.count("fold") >= 3
+
+
+def test_train_folds_flag_is_the_config_the_checkpoints_record(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, _, _ = run(
+        [
+            "train",
+            "--dataset", "synthetic",
+            "--synthetic-graphs", "12",
+            "--config", write_config(tmp_path, folds=10),
+            "--folds", "3",
+            "--out", str(out_dir),
+        ],
+        capsys,
+    )
+    assert code == 0
+    checkpoints = sorted(out_dir.glob("checkpoint_*.npz"))
+    assert [path.name for path in checkpoints] == [f"checkpoint_seed0_fold{f}.npz" for f in range(3)]
+    for path in checkpoints:
+        assert load_checkpoint(path)[1]["train_config"]["folds"] == 3
 
 
 def test_sweep_ranks_configurations(tmp_path, capsys):
@@ -197,6 +218,34 @@ def test_theory_optimum_rejects_graphs_above_the_search_limit(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--family", "path", "--n", "5", "--h", "0"], "--h"),
+        (["--family", "star", "--n", "5", "--h", "-2"], "--h"),
+        (["--family", "file", "--file", "edges.txt", "--h", "0"], "--h"),
+        (["--family", "path", "--n", "-3", "--h", "1"], "--n"),
+        (["--family", "path", "--n", "0", "--h", "1"], "--n"),
+        (["--family", "star", "--n", "1", "--h", "2"], "--n"),
+        (["--family", "star", "--n", "2", "--h", "4"], "--n"),
+    ],
+)
+def test_theory_optimum_rejects_values_below_a_family_minimum(argv, flag, tmp_path, capsys):
+    (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+    argv = [str(tmp_path / arg) if arg == "edges.txt" else arg for arg in argv]
+    code, out, err = run(["theory", "optimum", *argv], capsys)
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_theory_optimum_star_accepts_its_smallest_tree(capsys):
+    code, out, _ = run(["theory", "optimum", "--family", "star", "--n", "3", "--h", "4"], capsys)
+    assert code == 0
+    assert "nodes=3 h=4 optimum=1" in out
+
+
 def test_theory_optimum_file_requires_path(capsys):
     code, _, err = run(["theory", "optimum", "--family", "file", "--h", "2"], capsys)
     assert code == 2
@@ -246,6 +295,23 @@ def test_theory_equivariance_passes_and_shows_counterexample(capsys):
     assert code == 0
     assert "5/5" in out
     assert "as expected" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--nodes", "0"], "--nodes"),
+        (["--trials", "0"], "--trials"),
+        (["--trials", "-1"], "--trials"),
+        (["--seed", "-1"], "--seed"),
+    ],
+)
+def test_theory_equivariance_rejects_values_that_verify_nothing(argv, flag, capsys):
+    code, out, err = run(["theory", "equivariance", *argv], capsys)
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from asap_pool.engine import (
     sigmoid,
     sub,
 )
-from asap_pool.engine.ops import scatter_add_rows
 from asap_pool.engine.tensor import ShapeError, TapeError
 
 
@@ -201,16 +200,24 @@ def test_gather_rows_out_of_range():
         gather_rows(Tensor(np.ones((2, 2))), np.array([0, 2]))
 
 
-def test_scatter_add_rows_accumulates_duplicates():
+def gather_rows_gradient(n_rows, indices, upstream):
+    """The gradient ``x`` receives when ``gather_rows(x, indices)`` receives ``upstream``."""
+    x = Tensor(np.zeros((n_rows, upstream.shape[1])), requires_grad=True)
+    with Tape() as tape:
+        loss = reduce_sum(hadamard(gather_rows(x, indices), Tensor(upstream)))
+    return tape.backward(loss)[x]
+
+
+def test_gather_rows_gradient_accumulates_duplicates():
     rows = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    out = scatter_add_rows(4, np.array([2, 0, 2]), rows)
+    out = gather_rows_gradient(4, np.array([2, 0, 2]), rows)
     np.testing.assert_allclose(
         out, [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0], [0.0, 0.0]]
     )
-    empty = scatter_add_rows(3, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    empty = gather_rows_gradient(3, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
     np.testing.assert_array_equal(empty, np.zeros((3, 2)))
     # Rows past the largest index are never written but still present.
-    trailing = scatter_add_rows(5, np.array([1, 0, 1]), rows)
+    trailing = gather_rows_gradient(5, np.array([1, 0, 1]), rows)
     np.testing.assert_allclose(trailing, [[2.0, 2.0], [4.0, 4.0], [0, 0], [0, 0], [0, 0]])
 
 

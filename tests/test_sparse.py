@@ -141,6 +141,19 @@ def test_csr_empty_rows_and_no_entries():
         assert_csr_identical(m.csr(), sp.csr_matrix((m.values, (m.rows, m.cols)), shape=m.shape))
 
 
+def test_csr_index_is_the_matrix_own_int64_columns():
+    s = SparseMatrix.from_coo((4, 3), [2, 0, 2], [1, 2, 0], [1.0, 2.0, 3.0])
+    indices, indptr = s.csr_index()
+    assert indices.dtype == indptr.dtype == np.int64
+    assert np.shares_memory(indices, s.cols)
+    assert indptr.tolist() == [0, 1, 1, 3, 3]
+    # A product's index is its own columns as well.
+    product = spspmm(s, sparse_transpose(s))
+    indices, indptr = product.csr_index()
+    assert indices.dtype == indptr.dtype == np.int64
+    assert np.shares_memory(indices, product.cols)
+
+
 def test_csr_uses_wide_indices_when_shape_needs_them():
     wide = 2**31 + 5
     s = SparseMatrix((3, wide), [0, 2], [5, wide - 1], [1.0, 2.0])

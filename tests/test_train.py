@@ -193,7 +193,7 @@ def test_train_metrics_file_deterministic(tiny_dataset, tmp_path):
 
 def test_train_lr_schedule_halves(tiny_dataset):
     config = tiny_config(epochs=4, lr_decay_every=2, lr_decay=0.5)
-    result = train(tiny_dataset, config, seeds=[0], folds=3)
+    result = train(tiny_dataset, config, seeds=[0])
     by_epoch = {r.epoch: r.lr for r in result.records if r.fold == 0}
     assert by_epoch[1] == config.lr
     assert by_epoch[2] == config.lr
@@ -222,7 +222,7 @@ def test_train_divergence_recorded_not_fatal(tiny_dataset, monkeypatch):
         return out
 
     monkeypatch.setattr(tr, "cross_entropy", poisoned)
-    result = train(tiny_dataset, tiny_config(), seeds=[0], folds=3)
+    result = train(tiny_dataset, tiny_config(), seeds=[0])
     diverged = [f for f in result.folds if f.diverged]
     healthy = [f for f in result.folds if not f.diverged]
     assert len(diverged) == 1
@@ -235,8 +235,8 @@ def test_train_divergence_recorded_not_fatal(tiny_dataset, monkeypatch):
 
 
 def test_train_seed_changes_results(tiny_dataset):
-    a = train(tiny_dataset, tiny_config(), seeds=[0], folds=3)
-    b = train(tiny_dataset, tiny_config(), seeds=[1], folds=3)
+    a = train(tiny_dataset, tiny_config(), seeds=[0])
+    b = train(tiny_dataset, tiny_config(), seeds=[1])
     a_losses = [r.train_loss for r in a.records]
     b_losses = [r.train_loss for r in b.records]
     assert a_losses != b_losses
