@@ -117,11 +117,32 @@ def _dataset_arguments(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_dataset(args) -> Dataset:
+def _flagged(flag: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` or ``OSError`` it raises becomes a ``ValueError`` under ``flag``."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OSError) as err:
+        raise ValueError(f"{flag}: {err}") from None
+
+
+def _training_inputs(args) -> tuple[Dataset, TrainConfig, list[int]]:
+    """Dataset, config and seeds of ``train`` and ``sweep``; a bad argument raises ``ValueError`` naming its flag."""
+    for flag, value, smallest in (("--seeds", args.seeds, 1), ("--synthetic-seed", args.synthetic_seed, 0)):
+        if value < smallest:
+            raise ValueError(f"{flag} must be >= {smallest}, got {value}")
+    config = _flagged("--config", TrainConfig.from_file, args.config) if args.config else TrainConfig()
     if args.dataset == "synthetic":
-        return synthetic_motif_dataset(n_graphs=args.synthetic_graphs, seed=args.synthetic_seed)
-    path = Path(args.dataset)
-    return load_tu_dataset(path.parent, path.name)
+        graphs = args.synthetic_graphs
+        dataset = _flagged(f"--synthetic-graphs {graphs}", synthetic_motif_dataset, graphs, args.synthetic_seed)
+    else:
+        path = Path(args.dataset)
+        dataset = _flagged("--dataset", load_tu_dataset, path.parent, path.name)
+    return dataset, config, [config.seed + i for i in range(args.seeds)]
+
+
+def _check_fold_count(dataset: Dataset, folds: int) -> None:
+    if len(dataset) < folds:
+        raise ValueError(f"--folds: cannot split the dataset's {len(dataset)} graphs into {folds} folds")
 
 
 def _command_ingest(args) -> int:
@@ -143,11 +164,14 @@ def _command_ingest(args) -> int:
 
 
 def _command_train(args) -> int:
-    dataset = _load_dataset(args)
-    config = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    if args.folds is not None:
-        config = dataclasses.replace(config, folds=args.folds)
-    seeds = [config.seed + i for i in range(args.seeds)]
+    try:
+        dataset, config, seeds = _training_inputs(args)
+        if args.folds is not None:
+            config = _flagged(f"--folds {args.folds}", dataclasses.replace, config, folds=args.folds)
+        _check_fold_count(dataset, config.folds)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     result = train(dataset, config, seeds=seeds, out_dir=args.out, log=print)
     print(result.summary_line())
     if args.out:
@@ -156,10 +180,13 @@ def _command_train(args) -> int:
 
 
 def _command_sweep(args) -> int:
-    dataset = _load_dataset(args)
-    base = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    grid = parse_grid(args.grid)
-    seeds = [base.seed + i for i in range(args.seeds)]
+    try:
+        dataset, base, seeds = _training_inputs(args)
+        grid = _flagged("--grid", parse_grid, args.grid)
+        _check_fold_count(dataset, max(grid.get("folds", [base.folds])))
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     outcomes = sweep(dataset, base, grid, seeds=seeds, out_dir=args.out, log=print)
     print("rank  config -> validation / test accuracy")
     for rank, (combo, summary) in enumerate(outcomes, start=1):

@@ -20,13 +20,12 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from . import ops
-from .tensor import EngineError, ShapeError, Tensor, active_tape, record
+from .tensor import EngineError, ShapeError, Tensor, record
 
 __all__ = [
     "SparseMatrix",
     "ClusterLayout",
     "cluster_sum",
-    "cluster_max",
     "spmm",
     "spspmm",
     "sparse_make",
@@ -450,22 +449,20 @@ class ClusterLayout:
     ``pattern`` is square; its row ``c`` lists the members of the cluster
     centred on node ``c`` in ascending order, and no row is empty. Pair ``k``
     is ``(cluster_ids[k], member_ids[k])`` in the pattern's row-major order.
-    Built once per level and read by :func:`cluster_sum` and
-    :func:`cluster_max`, the layout holds:
+    Built once per level and read by :func:`cluster_sum`, the layout holds:
 
     * the pattern's CSR index (``index``), each cluster's first pair
       (``starts``) and member count (``counts``);
     * the CSR index of every pair but each cluster's first (``rest_index``)
       and those pairs' positions (``rest_pairs``);
-    * the clusters of more than eight members (``wide``);
-    * the clusters by size, largest first (``by_size``), their first pairs
-      (``heads``) and, for each ``p``, how many have more than ``p`` members
-      (``active``).
+    * the clusters of more than eight members (``wide``).
+
+    M2T needs no per-cluster maximum: the attention query's term cancels in
+    the per-cluster softmax, so M2T runs with the medoid query.
     """
 
     __slots__ = (
-        "index", "n", "cluster_ids", "member_ids", "starts", "counts", "rest_pairs", "rest_index",
-        "wide", "by_size", "heads", "active",
+        "index", "n", "cluster_ids", "member_ids", "starts", "counts", "rest_pairs", "rest_index", "wide",
     )
 
     def __init__(self, pattern: SparseMatrix):
@@ -484,9 +481,6 @@ class ClusterLayout:
         self.rest_pairs = np.flatnonzero(rest)
         self.rest_index = (indices[self.rest_pairs], indptr - np.arange(n + 1))
         self.wide = np.flatnonzero(counts > _LEFT_TO_RIGHT_MEMBERS)
-        self.by_size = np.argsort(-counts, kind="stable")
-        self.heads = self.starts[self.by_size]
-        self.active = (n - np.cumsum(np.bincount(counts))[:-1]).tolist()
 
 
 def cluster_sum(layout: ClusterLayout, weights: Tensor, x: Tensor) -> Tensor:
@@ -542,41 +536,4 @@ def cluster_sum(layout: ClusterLayout, weights: Tensor, x: Tensor) -> Tensor:
             accumulate(weights, _sampled_dot(grad, layout.cluster_ids, data, members)[:, None])
 
     record(out, (weights, x), backward)
-    return out
-
-
-def cluster_max(x: Tensor, layout: ClusterLayout) -> Tensor:
-    """Column-wise maximum of each cluster's member rows of ``x`` (the M2T master query).
-
-    The forward scans member positions: position ``p`` updates the
-    ``active[p]`` largest clusters, so no pairs x d array is formed. When the
-    call is taped, the scan also keeps the first position that attains each
-    maximum, which holds the lowest-index such member (members ascend);
-    backward routes each (cluster, column) gradient there with one scatter
-    over ``x``'s n x d slots.
-    """
-    n = layout.n
-    data = x.data
-    if data.shape[0] != n:
-        raise ShapeError(f"cluster_max needs {n} feature rows, got {data.shape[0]}")
-    members, heads, active = layout.member_ids, layout.heads, layout.active
-    peak = data[members[heads]]
-    position = np.zeros(peak.shape, dtype=np.intp) if x.requires_grad and active_tape() else None
-    for p in range(1, len(active)):
-        k = active[p]
-        candidates = data[members[heads[:k] + p]]
-        if position is not None:
-            np.copyto(position[:k], p, where=candidates > peak[:k])
-        np.maximum(peak[:k], candidates, out=peak[:k])
-    maxes = np.empty_like(peak)
-    maxes[layout.by_size] = peak
-    out = ops._out(maxes)
-
-    def backward(grad, accumulate):
-        d = data.shape[1]
-        slots = (members[heads[:, None] + position] * d + np.arange(d)).ravel()
-        scattered = np.bincount(slots, weights=grad[layout.by_size].ravel(), minlength=n * d)
-        accumulate(x, scattered.reshape(n, d))
-
-    record(out, (x,), backward)
     return out

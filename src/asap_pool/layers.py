@@ -19,7 +19,9 @@ dataclasses, so the same code runs per graph or on block-diagonal batches.
   per-cluster term plus a per-member term (the split GAT uses to score
   edges). Both terms are computed once per node and only two ``n x 1``
   columns are gathered per pair, instead of building a ``pairs x 2d``
-  matrix.
+  matrix. The per-cluster term cancels in the per-cluster softmax, so the
+  pool runs ``M2T`` with the medoid query and ``M2T`` cannot differ from
+  ``T2T`` beyond rounding (Brody et al., GATv2, arXiv:2105.14491).
 """
 
 from __future__ import annotations
@@ -163,6 +165,8 @@ def attention_scores(
     * ``S2T``: ``w^T lrelu(W x_j)`` — the cluster plays no role in the score.
     * ``T2T``/``M2T``: ``w^T lrelu([W q_i ‖ x_j])`` with ``q`` the medoid
       representation (T2T) or the cluster's max-pooled master vector (M2T).
+      The ``q_i`` term cancels in a per-cluster softmax, so the pool passes
+      the medoid rows for M2T too.
 
     Every score term depends on one node only, so it is computed once per
     node and gathered per pair: S2T gathers ``lrelu(W x)·w`` at ``j``;

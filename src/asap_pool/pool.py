@@ -5,10 +5,12 @@ One pooling step shrinks a graph (or block-diagonal batch) in four stages:
 1. **Cluster formation** — every node becomes the medoid of the cluster of
    all nodes within ``h`` hops. A dedicated linear convolution produces
    representations ``X'``; an attention scorer compares each member against
-   its cluster's query (max-pooled master vector for ``M2T``, the medoid's
-   own representation for ``T2T``, nothing for ``S2T``) and a per-cluster
-   softmax turns the logits into membership weights. Cluster features are the
-   weighted sum of the *raw* member features.
+   its cluster's query (the medoid's own representation for ``M2T`` and
+   ``T2T``, nothing for ``S2T``) and a per-cluster softmax turns the logits
+   into membership weights. The query's score term is constant over a
+   cluster and cancels in that softmax, so ``M2T`` runs with the medoid
+   query and cannot differ from ``T2T`` beyond rounding. Cluster features
+   are the weighted sum of the *raw* member features.
 2. **Fitness scoring** — a local-extrema convolution (or the configured
    alternative) maps each cluster to a sigmoid fitness ``Φ``.
 3. **Selection** — the top ``⌈k·N⌉`` clusters per graph survive (stable
@@ -40,7 +42,6 @@ from .engine import (
     ClusterLayout,
     SparseMatrix,
     Tensor,
-    cluster_max,
     cluster_sum,
     gather_rows,
     hadamard,
@@ -170,12 +171,7 @@ def form_clusters(x: Tensor, a: SparseMatrix, a_norm: SparseMatrix, params: Pool
     cluster_ids, member_ids = layout.cluster_ids, layout.member_ids
 
     transformed = gcn_forward(x, a_norm, params.intra_gcn)
-    if config.attention == "M2T":
-        queries = cluster_max(transformed, layout)
-    elif config.attention == "T2T":
-        queries = transformed
-    else:
-        queries = None
+    queries = None if config.attention == "S2T" else transformed
     logits = attention_scores(params.attention, transformed, cluster_ids, member_ids, queries)
     weights = segment_softmax(logits, cluster_ids, n)
     clusters = cluster_sum(layout, weights, x) if config.aggregation != "None" else None

@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.folds < 3:
             raise ValueError("need at least 3 folds (train/val/test must not overlap)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # Delegate the pooling-field checks.
         self.pool_config()
 
@@ -106,15 +108,9 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """Parse a flat ``key = value`` text file (one pair per line, # comments)."""
-        return cls.from_strings({key: value for _, key, value in _key_value_lines(path, "key = value")})
-
-    @classmethod
-    def from_strings(cls, values: dict[str, str]) -> "TrainConfig":
-        converted = {}
-        for key, value in values.items():
-            converted[key] = _convert_field(cls, key, value)
-        return cls(**converted)
+        """Parse a flat ``key = value`` text file (one pair per line, # comments); errors name ``path:line``."""
+        lines = _key_value_lines(path, "key = value")
+        return cls(**{key: _field_at(path, line_no, key, text) for line_no, key, text in lines})
 
     def to_file(self, path) -> None:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
@@ -151,6 +147,16 @@ def _convert_field(cls, key: str, value: str):
     if kind == "float":
         return float(text)
     return text
+
+
+def _field_at(path, line_no: int, key: str, text: str):
+    """Field ``key`` of a ``TrainConfig`` read from ``text``; a bad key or value raises ``ValueError`` at ``path:line``."""
+    try:
+        value = _convert_field(TrainConfig, key, text)
+        replace(TrainConfig(), **{key: value})  # each of TrainConfig's checks reads one field
+    except ValueError as err:
+        raise ValueError(f"{path}:{line_no}: {err}") from None
+    return value
 
 
 class FoldDivergence(RuntimeError):
@@ -457,7 +463,7 @@ def parse_grid(path) -> dict[str, list]:
         values = [v.strip() for v in rest.split(",") if v.strip()]
         if not values:
             raise ValueError(f"{path}:{line_no}: no values for {key!r}")
-        grid[key] = [_convert_field(TrainConfig, key, v) for v in values]
+        grid[key] = [_field_at(path, line_no, key, v) for v in values]
     if not grid:
         raise ValueError(f"{path}: empty grid")
     return grid

@@ -142,6 +142,66 @@ def test_sweep_ranks_configurations(tmp_path, capsys):
     assert (out_dir / "sweep.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "argv, overrides, message",
+    [
+        (["--folds", "2"], {}, "--folds 2: need at least 3 folds"),
+        (["--synthetic-graphs", "0"], {}, "--synthetic-graphs 0: n_graphs must be"),
+        (["--synthetic-graphs", "2"], {}, "--folds: cannot split the dataset's 2 graphs into 3 folds"),
+        (["--seeds", "0"], {}, "--seeds must be >= 1"),
+        (["--synthetic-seed", "-1"], {}, "--synthetic-seed must be >= 0"),
+        ([], {"hidden": 7}, "--config: {config}:1: hidden must be one of"),
+        ([], {"seed": -1}, "--config: {config}:5: seed must be non-negative"),
+        (["--config", "missing.cfg"], {}, "--config: "),
+    ],
+    ids=[
+        "folds", "synthetic-graphs", "more-folds-than-graphs", "seeds", "synthetic-seed", "config-hidden",
+        "config-seed", "missing-config",
+    ],
+)
+def test_train_rejects_bad_arguments_naming_the_flag(argv, overrides, message, tmp_path, capsys):
+    config = write_config(tmp_path, **overrides)
+    code, out, err = run(
+        ["train", "--dataset", "synthetic", "--synthetic-graphs", "12", "--config", config, *argv], capsys
+    )
+    assert code == 2
+    assert message.format(config=config) in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, grid, flag",
+    [
+        (["--seeds", "0"], "k = 0.5\n", "--seeds"),
+        (["--synthetic-graphs", "0"], "k = 0.5\n", "--synthetic-graphs"),
+        ([], "k = 0.5\nhidden = 16, 7\n", "--grid"),
+        ([], "folds = 3, 20\n", "--folds"),
+    ],
+    ids=["seeds", "synthetic-graphs", "grid", "more-folds-than-graphs"],
+)
+def test_sweep_rejects_bad_arguments_naming_the_flag(argv, grid, flag, tmp_path, capsys):
+    grid_file = tmp_path / "grid.txt"
+    grid_file.write_text(grid)
+    code, out, err = run(
+        [
+            "sweep",
+            "--dataset", "synthetic",
+            "--synthetic-graphs", "12",
+            "--config", write_config(tmp_path),
+            "--grid", str(grid_file),
+            *argv,
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in err
+    assert out == ""
+    if flag == "--grid":
+        assert f"{grid_file}:2: hidden must be one of" in err
+
+
 # ---------------------------------------------------------------------------
 # theory
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from asap_pool.engine import Tensor, grad_check, reduce_sum, sigmoid
-from asap_pool.graphs import graph_from_edges, normalize_gcn
+from asap_pool.datasets import synthetic_motif_dataset
+from asap_pool.engine import Tape, Tensor, grad_check, hadamard, reduce_sum, segment_softmax, sigmoid
+from asap_pool.graphs import batch_graphs, graph_from_edges, normalize_gcn
 from asap_pool.layers import (
     ATTENTION_KINDS,
     AttentionParams,
@@ -188,6 +189,36 @@ def test_t2t_scores_hand_computed():
     np.testing.assert_allclose(
         out.data, [[1.6 - 1.2], [1.6 - 2.75], [6.5 - 1.2], [6.5 - 2.75]], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("kind", ["M2T", "T2T"])
+def test_membership_weights_do_not_depend_on_the_query(kind):
+    # w^T lrelu([W q_i ‖ x_j]) = (per-cluster term of q_i) + (per-member term
+    # of x_j), and the first cancels in the per-cluster softmax: the
+    # max-pooled master query, the medoid query and random queries give the
+    # same weights, and the softmax sends attn.W and the query half of the
+    # score vector no gradient beyond rounding.
+    batch = batch_graphs(synthetic_motif_dataset(16, seed=3).graphs)
+    pattern = normalize_gcn(batch.adjacency)
+    c, m = pattern.rows, pattern.cols
+    n, d = pattern.shape[0], 8
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((n, d))
+    master = np.maximum.reduceat(x[m], np.searchsorted(c, np.arange(n)), axis=0)
+    upstream = Tensor(rng.standard_normal((c.shape[0], 1)))
+    weights, w_grads = [], []
+    for q in (master, x, rng.standard_normal((n, d))):
+        params = AttentionParams.init(np.random.default_rng(13), kind, d)
+        with Tape() as tape:
+            out = segment_softmax(attention_scores(params, Tensor(x), c, m, Tensor(q)), c, n)
+            loss = reduce_sum(hadamard(out, upstream))
+        grads = tape.backward(loss)
+        weights.append(out.data)
+        w_grads.append(max(np.abs(grads[params.weight]).max(), np.abs(grads[params.score][:d]).max()))
+        assert np.abs(grads[params.score][d:]).max() > 1.0  # the member term does learn
+    for other in weights[1:]:
+        np.testing.assert_allclose(other, weights[0], rtol=0, atol=1e-13)
+    assert max(w_grads) < 1e-13
 
 
 def test_m2t_requires_queries():

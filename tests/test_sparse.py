@@ -11,7 +11,6 @@ from asap_pool.engine import (
     SparseMatrix,
     Tape,
     Tensor,
-    cluster_max,
     cluster_sum,
     grad_check,
     hadamard,
@@ -522,50 +521,12 @@ def test_property_cluster_sum_rounds_like_reduceat(seed, sizes, d):
     assert got.tobytes() == want.tobytes()
 
 
-def test_cluster_max_matches_loop():
-    rng = np.random.default_rng(22)
-    layout = random_layout(rng, [1, 2, 8, 9, 20])
-    x = rng.standard_normal((layout.n, 3))
-    got = cluster_max(Tensor(x), layout).data
-    for c in range(layout.n):
-        np.testing.assert_array_equal(got[c], x[layout.member_ids[layout.cluster_ids == c]].max(axis=0))
-
-
 def test_gradient_cluster_ops():
     rng = np.random.default_rng(21)
     layout = random_layout(rng, [1, 2, 3, 9, 12])
     weights = Tensor(rng.standard_normal((layout.member_ids.shape[0], 1)), requires_grad=True)
     x = Tensor(rng.standard_normal((layout.n, 2)), requires_grad=True)
     assert grad_check(lambda: dense_weighted_sum(cluster_sum(layout, weights, x)), [weights, x]) < 1e-7
-    assert grad_check(lambda: dense_weighted_sum(cluster_max(x, layout)), [x]) < 1e-7
-
-
-def test_cluster_max_gradient_goes_to_lowest_tied_member():
-    x = Tensor(
-        np.array(
-            [
-                [2.0, 1.0, 5.0],
-                [2.0, 3.0, 5.0],
-                [1.0, 3.0, 5.0],
-                [-1.0, 0.0, 7.0],
-                [4.0, -2.0, 7.0],
-            ]
-        ),
-        requires_grad=True,
-    )
-    layout = layout_of([[0, 1, 2], [3], [1, 3, 4], [2, 4], [0, 1, 2, 3, 4]])
-    upstream = np.arange(1.0, 16.0).reshape(5, 3)
-    with Tape() as tape:
-        peak = cluster_max(x, layout)
-        loss = reduce_sum(hadamard(peak, Tensor(upstream)))
-    tape.backward(loss)
-    np.testing.assert_array_equal(peak.data, [[2, 3, 5], [-1, 0, 7], [4, 3, 7], [4, 3, 7], [4, 3, 7]])
-    winners = np.array([[0, 1, 0], [3, 3, 3], [4, 1, 3], [4, 2, 4], [4, 1, 3]])
-    expected = np.zeros((5, 3))
-    for c in range(5):
-        for j in range(3):
-            expected[winners[c, j], j] += upstream[c, j]
-    np.testing.assert_array_equal(x.grad, expected)
 
 
 def test_cluster_layout_rejects_empty_cluster_and_non_square_pattern():
@@ -581,8 +542,6 @@ def test_cluster_ops_check_operand_shapes():
         cluster_sum(layout, Tensor(np.ones((3, 1))), Tensor(np.ones((3, 2))))
     with pytest.raises(ShapeError):
         cluster_sum(layout, Tensor(np.ones((2, 1))), Tensor(np.ones((2, 2))))
-    with pytest.raises(ShapeError):
-        cluster_max(Tensor(np.ones((3, 2))), layout)
 
 
 # ---------------------------------------------------------------------------

@@ -141,9 +141,21 @@ def test_config_from_file_ignores_comments_and_blanks(tmp_path):
     assert config.soft_edges is False
 
 
-def test_config_from_strings_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        TrainConfig.from_strings({"no_such_field": "1"})
+def test_config_from_file_rejects_unknown_keys_at_their_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\nhidden = 32\nnosuch = 1\n")
+    with pytest.raises(ValueError, match="unknown config key 'nosuch'") as excinfo:
+        TrainConfig.from_file(path)
+    assert str(excinfo.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("line, problem", [("hidden = x", "invalid literal"), ("hidden = 7", "hidden must be one of")])
+def test_config_from_file_reports_the_line_of_a_bad_value(tmp_path, line, problem):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"lr = 0.001\n\n{line}\n")
+    with pytest.raises(ValueError, match=problem) as excinfo:
+        TrainConfig.from_file(path)
+    assert str(excinfo.value).startswith(f"{path}:3: ")
 
 
 def test_config_pool_and_model_views():
@@ -261,6 +273,22 @@ def test_parse_grid(tmp_path):
     path.write_text("# search space\nlr = 0.01, 0.001\nhidden = 16, 32\n")
     grid = parse_grid(path)
     assert grid == {"lr": [0.01, 0.001], "hidden": [16, 32]}
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("nosuch = 1, 2", "unknown config key 'nosuch'"),
+        ("hidden = 16, x", "invalid literal"),
+        ("k = 0.5, 2", "k must be"),
+    ],
+)
+def test_parse_grid_reports_the_line_of_a_bad_key_or_value(tmp_path, line, problem):
+    path = tmp_path / "grid.txt"
+    path.write_text(f"# search space\nlr = 0.01, 0.001\n{line}\n")
+    with pytest.raises(ValueError, match=problem) as excinfo:
+        parse_grid(path)
+    assert str(excinfo.value).startswith(f"{path}:3: ")
 
 
 def test_sweep_orders_by_validation_accuracy(tiny_dataset, tmp_path):

@@ -21,8 +21,11 @@ paths and balanced starlike trees that acceptance criterion 4 checks:
 
 Each copy of the script loads the package from its own checkout's ``src``.
 
-``--compare`` prints every array whose bytes differ and exits with status 1
-if any does. Refactors that must keep the model's numbers use it as a gate.
+``--compare`` prints every array whose bytes differ, with its largest
+absolute deviation and largest reference magnitude when it is a float
+array, then how many differ per attention kind and in the lab. It exits
+with status 1 if any array differs. Refactors that must keep the model's
+numbers use it as a gate.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -123,13 +127,23 @@ def record_lab() -> dict[str, np.ndarray]:
     return out
 
 
-def compare(got: dict[str, np.ndarray], stored) -> list[str]:
-    """Keys whose arrays differ in shape or in any byte, or exist on one side only."""
-    diffs = sorted(set(got) ^ set(stored.files))
+def compare(got: dict[str, np.ndarray], stored) -> list[tuple[str, str]]:
+    """``(key, how)`` for each array that differs in shape or in any byte, or exists on one side only.
+
+    For float arrays of one shape, ``how`` gives the largest absolute
+    deviation next to the largest reference magnitude.
+    """
+    diffs = [(key, "on one side only") for key in sorted(set(got) ^ set(stored.files))]
     for key in sorted(set(got) & set(stored.files)):
-        want = stored[key]
-        if got[key].shape != want.shape or got[key].tobytes() != want.tobytes():
-            diffs.append(key)
+        new, want = got[key], stored[key]
+        if new.shape != want.shape:
+            diffs.append((key, f"shape {want.shape} -> {new.shape}"))
+        elif new.tobytes() != want.tobytes():
+            if new.dtype.kind == want.dtype.kind == "f":
+                how = f"max |diff| {np.abs(new - want).max():.2e}, max |ref| {np.abs(want).max():.2e}"
+            else:
+                how = f"{new.dtype} bytes"
+            diffs.append((key, how))
     return diffs
 
 
@@ -150,8 +164,10 @@ def main(argv=None) -> int:
         return 0
     with np.load(args.compare) as stored:
         diffs = compare(arrays, stored)
-    for key in diffs:
-        print(f"differs: {key}")
+    for key, how in diffs:
+        print(f"differs: {key}: {how}")
+    groups = Counter("lab" if key.startswith("lab/") else key.split("-", 1)[0] for key, _ in diffs)
+    print("differing arrays: " + ", ".join(f"{group} {groups[group]}" for group in (*ATTENTION, "lab")))
     print(f"{n_configs} configs and the lab, {len(arrays)} arrays: {len(diffs)} differ")
     return 1 if diffs else 0
 
