@@ -146,7 +146,11 @@ def _check_fold_count(dataset: Dataset, folds: int) -> None:
 
 
 def _command_ingest(args) -> int:
-    dataset = load_tu_dataset(args.dir, args.name)
+    try:
+        dataset = _flagged("--dir", load_tu_dataset, args.dir, args.name)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     stats = dataset_stats(dataset)
     print(f"dataset {args.name}: {stats.n_graphs} graphs, {stats.n_classes} classes")
     print(f"mean nodes {stats.mean_nodes:.2f}, mean edges {stats.mean_edges:.2f}")

@@ -125,9 +125,15 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    """Elementwise ``x if x > 0 else slope * x``."""
+    """Elementwise ``x if x > 0 else slope * x``, for ``0 < slope < 1``.
+
+    Computed as ``max(x, slope * x)``, which for such a slope gives the same
+    bits, signed zeros and subnormals included, without a select.
+    """
     slope = float(negative_slope)
-    out = _out(np.where(x.data > 0.0, x.data, slope * x.data))
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu needs 0 < negative_slope < 1, got {negative_slope}")
+    out = _out(np.maximum(x.data, slope * x.data))
 
     def backward(grad, accumulate):
         accumulate(x, grad * np.where(x.data > 0.0, 1.0, slope))

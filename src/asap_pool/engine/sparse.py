@@ -43,6 +43,19 @@ def _encode(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
     return rows * np.int64(n_cols) + cols
 
 
+def _ranges(firsts: np.ndarray, lengths: np.ndarray, step: int = 1) -> np.ndarray:
+    """The ranges ``firsts[i], firsts[i] + step, ...`` of ``lengths[i]`` numbers each, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(firsts - step * offsets, lengths) + step * np.arange(int(lengths.sum()))
+
+
+def _indptr(lengths: np.ndarray) -> np.ndarray:
+    """CSR row pointers of rows holding ``lengths`` entries."""
+    indptr = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
 class SparseMatrix:
     """A 2-D float64 sparse matrix with a canonical COO layout.
 
@@ -72,14 +85,24 @@ class SparseMatrix:
                 raise EngineError("sparse entries must be in row-major order")
             if np.any(deltas == 0):
                 raise EngineError("duplicate sparse entry")
-        self.shape = (n_rows, n_cols)
+        self._set((n_rows, n_cols), rows, cols, values, bool(requires_grad))
+
+    def _set(self, shape, rows, cols, values, requires_grad: bool) -> None:
+        self.shape = shape
         self.rows = rows
         self.cols = cols
         self.values = values
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = requires_grad
         self.grad = None
         self._csr = None
         self._index = None
+
+    @classmethod
+    def _canonical(cls, shape, rows, cols, values) -> "SparseMatrix":
+        """Wrap int64 ``rows``/``cols`` and 1-D float64 ``values`` known to be canonical, with no scan."""
+        out = cls.__new__(cls)
+        out._set(shape, rows, cols, values, False)
+        return out
 
     @classmethod
     def from_coo(cls, shape, rows, cols, values, requires_grad: bool = False) -> "SparseMatrix":
@@ -106,10 +129,7 @@ class SparseMatrix:
         running count of entries per row.
         """
         if self._index is None:
-            n_rows = self.shape[0]
-            indptr = np.zeros(n_rows + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.rows, minlength=n_rows), out=indptr[1:])
-            self._index = (self.cols, indptr)
+            self._index = (self.cols, _indptr(np.bincount(self.rows, minlength=self.shape[0])))
         return self._index
 
     def csr(self) -> sp.csr_matrix:
@@ -198,26 +218,37 @@ _SAMPLE_BLOCK = 1 << 15
 
 
 def _sampled_dot(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``(a @ b.T)[rows[k], cols[k]]`` for every ``k``, without forming the product (an SDDMM)."""
+    """``(a @ b.T)[rows[k], cols[k]]`` for every ``k``, without forming the product (an SDDMM).
+
+    ``np.take`` gathers the rows; it is faster than fancy indexing here.
+    """
     out = np.empty(rows.shape[0])
     step = max(1, _SAMPLE_BLOCK // max(1, a.shape[1]))
     for lo in range(0, rows.shape[0], step):
         hi = lo + step
-        out[lo:hi] = np.einsum("ij,ij->i", a[rows[lo:hi]], b[cols[lo:hi]])
+        out[lo:hi] = np.einsum("ij,ij->i", np.take(a, rows[lo:hi], axis=0), np.take(b, cols[lo:hi], axis=0))
     return out
 
 
-def _compressed_times_dense(kernel, shape, indptr, indices, values, dense: np.ndarray) -> np.ndarray:
-    """``M @ dense`` by scipy's own ``csr_matvecs``/``csc_matvecs`` kernel, for ``M`` given by its int64 arrays."""
-    out = np.zeros((shape[0], dense.shape[1]))
+def _compressed_times_dense(kernel, shape, indptr, indices, values, dense: np.ndarray, out=None) -> np.ndarray:
+    """``M @ dense`` by scipy's own ``csr_matvecs``/``csc_matvecs`` kernel, for ``M`` given by its int64 arrays.
+
+    The kernel adds each row's products to ``out`` in storage order, after
+    whatever a given C-contiguous ``out`` already holds.
+    """
+    if out is None:
+        out = np.zeros((shape[0], dense.shape[1]))
     kernel(shape[0], shape[1], dense.shape[1], indptr, indices, values,
            np.ascontiguousarray(dense).ravel(), out.ravel())
     return out
 
 
-def _sparse_out(shape, rows, cols, values) -> SparseMatrix:
+def _sparse_out(shape, rows, cols, values, canonical: bool = True) -> SparseMatrix:
+    """An op's output; a pattern the op built ``canonical`` is scanned only under ``ops.DEBUG_CHECKS``."""
     if ops.DEBUG_CHECKS and not np.all(np.isfinite(values)):
         raise EngineError("non-finite values produced by a sparse operation")
+    if canonical and not ops.DEBUG_CHECKS:
+        return SparseMatrix._canonical(shape, rows, cols, values)
     return SparseMatrix(shape, rows, cols, values)
 
 
@@ -279,7 +310,7 @@ def sparse_make(shape, rows, cols, values: Tensor) -> SparseMatrix:
     cols = np.asarray(cols, dtype=np.int64).ravel()
     if values.data.shape != (rows.shape[0], 1):
         raise ShapeError(f"values must be {rows.shape[0]}x1, got {values.data.shape}")
-    out = _sparse_out(shape, rows, cols, values.data[:, 0].copy())
+    out = _sparse_out(shape, rows, cols, values.data[:, 0].copy(), canonical=False)
 
     def backward(grad, accumulate):
         accumulate(values, grad[:, None])
@@ -325,24 +356,31 @@ def sparse_transpose(s: SparseMatrix) -> SparseMatrix:
 
 
 def _identity_merge(s: SparseMatrix):
-    """Canonical ``(rows, cols, values)`` of ``s + I`` and where each entry of ``s`` landed in it."""
+    """Canonical ``(rows, cols, values)`` of ``s + I`` and where each entry of ``s`` landed in it.
+
+    No sort: each row of ``s + I`` is row ``i`` of ``s`` with ``(i, i)``
+    inserted after the entries left of the diagonal, unless ``s`` stores it.
+    Values round as a ``bincount`` of ``s``'s entries then the identity's:
+    a stored ``v`` becomes ``v + 0.0`` and a stored diagonal ``(v + 0.0) + 1.0``.
+    """
     n = s.shape[0]
     if s.shape[0] != s.shape[1]:
         raise ShapeError("adding the identity needs a square matrix")
-    diag = np.arange(n, dtype=np.int64)
-    all_rows = np.concatenate((s.rows, diag))
-    all_cols = np.concatenate((s.cols, diag))
-    all_vals = np.concatenate((s.values, np.ones(n)))
-    keys = _encode(all_rows, all_cols, n)
-    order = np.argsort(keys, kind="stable")
-    sk, sr, sc, sv = keys[order], all_rows[order], all_cols[order], all_vals[order]
-    # Collapse duplicate coordinates (an existing diagonal entry gets +1).
-    group_starts = np.concatenate(([0], np.flatnonzero(np.diff(sk)) + 1))
-    group_of = np.cumsum(np.concatenate(([0], (np.diff(sk) != 0).astype(np.int64))))
-    merged = np.bincount(group_of, weights=sv)
-    position = np.empty(all_rows.shape[0], dtype=np.int64)
-    position[order] = group_of
-    return sr[group_starts], sc[group_starts], merged, position[: s.nnz]
+    rows, cols = s.rows, s.cols
+    on_diagonal = rows == cols
+    missing = np.ones(n, dtype=np.int64)
+    missing[rows[on_diagonal]] = 0
+    inserted_before = np.cumsum(missing) - missing
+    landed = np.arange(s.nnz) + inserted_before[rows] + ((cols > rows) & (missing[rows] == 1))
+    inserted = np.flatnonzero(missing)
+    left_of_diagonal = np.bincount(rows[cols < rows], minlength=n)
+    diagonal_at = (s.csr_index()[1][:-1] + left_of_diagonal + inserted_before)[inserted]
+    size = s.nnz + inserted.shape[0]
+    out_rows, out_cols, values = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
+    out_rows[landed], out_cols[landed], values[landed] = rows, cols, s.values + 0.0
+    out_rows[diagonal_at], out_cols[diagonal_at], values[diagonal_at] = inserted, inserted, 1.0
+    values[landed[on_diagonal]] += 1.0
+    return out_rows, out_cols, values, landed
 
 
 def sparse_add_identity(s: SparseMatrix) -> SparseMatrix:
@@ -417,8 +455,7 @@ def sparse_select_rows(s: SparseMatrix, row_indices) -> SparseMatrix:
     indptr = s.csr_index()[1]
     starts = indptr[row_indices]
     counts = indptr[row_indices + 1] - starts
-    offsets = np.cumsum(counts) - counts
-    source = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+    source = _ranges(starts, counts)
     rows = np.repeat(np.arange(row_indices.shape[0], dtype=np.int64), counts)
     return _take_entries(s, (row_indices.shape[0], s.shape[1]), source, rows, s.cols[source])
 
@@ -435,11 +472,15 @@ def sparse_submatrix(s: SparseMatrix, row_indices, col_indices) -> SparseMatrix:
     return _take_entries(s, (row_indices.shape[0], col_indices.shape[0]), keep[order], rows[order], cols[order])
 
 
-# np.add.reduceat adds a segment's first row to numpy's sum of the others,
-# and numpy adds fewer than eight numbers left to right but eight or more
-# with eight interleaved accumulators. So the rest of a cluster of up to
-# this many members is a left-to-right sum.
-_LEFT_TO_RIGHT_MEMBERS = 8
+# np.add.reduceat adds a segment's first row to numpy's pairwise sum of the
+# others (``pairwise_sum`` in numpy/_core/src/umath/loops_utils.h.src). That
+# sum adds fewer than eight numbers left to right. Up to 128 numbers it runs
+# eight accumulators, accumulator j adding numbers j, j + 8, ... of the full
+# blocks of eight, combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+# (r6 + r7)) and adds the remaining numbers left to right. Beyond 128 it
+# splits the numbers in two and recurses.
+_UNROLL = 8
+_PAIRWISE_BLOCK = 128
 _NEGATIVE_ZERO_BITS = np.float64(-0.0).view(np.int64)
 
 
@@ -453,9 +494,15 @@ class ClusterLayout:
 
     * the pattern's CSR index (``index``), each cluster's first pair
       (``starts``) and member count (``counts``);
-    * the CSR index of every pair but each cluster's first (``rest_index``)
-      and those pairs' positions (``rest_pairs``);
-    * the clusters of more than eight members (``wide``).
+    * the accumulator rows (``rest_pairs`` and their CSR index
+      ``rest_index``, ``n + 8 * len(wide)`` rows): row ``c`` holds every pair
+      but the first of a cluster of up to eight members, and row
+      ``n + 8 * i + j`` holds pairs ``j, j + 8, ...`` of the full blocks of
+      eight after the first pair of the ``i``-th wide cluster;
+    * the wide clusters, of 9 to 129 members (``wide``), and the pairs of
+      each after its last full block (``tail_pairs``, ``tail_index``);
+    * the clusters of more than 129 members (``exact``), which
+      :func:`cluster_sum` leaves to ``np.add.reduceat``.
 
     M2T needs no per-cluster maximum: the attention query's term cancels in
     the per-cluster softmax, so M2T runs with the medoid query.
@@ -463,6 +510,7 @@ class ClusterLayout:
 
     __slots__ = (
         "index", "n", "cluster_ids", "member_ids", "starts", "counts", "rest_pairs", "rest_index", "wide",
+        "tail_pairs", "tail_index", "exact",
     )
 
     def __init__(self, pattern: SparseMatrix):
@@ -475,12 +523,21 @@ class ClusterLayout:
             raise EngineError("every cluster needs at least one member")
         self.n, self.counts = n, counts
         self.cluster_ids, self.member_ids = pattern.rows, pattern.cols
-        self.starts = indptr[:-1]
-        rest = np.ones(pattern.nnz, dtype=bool)
-        rest[self.starts] = False
-        self.rest_pairs = np.flatnonzero(rest)
-        self.rest_index = (indices[self.rest_pairs], indptr - np.arange(n + 1))
-        self.wide = np.flatnonzero(counts > _LEFT_TO_RIGHT_MEMBERS)
+        self.starts = starts = indptr[:-1]
+        rest = counts - 1
+        narrow_lengths = np.where(rest < _UNROLL, rest, 0)
+        self.wide = wide = np.flatnonzero((rest >= _UNROLL) & (rest <= _PAIRWISE_BLOCK))
+        self.exact = np.flatnonzero(rest > _PAIRWISE_BLOCK)
+        wide_rest = rest[wide]
+        full = wide_rest - wide_rest % _UNROLL
+        block_lengths = np.repeat(full // _UNROLL, _UNROLL)
+        block_firsts = (starts[wide, None] + 1 + np.arange(_UNROLL)).ravel()
+        self.rest_pairs = np.concatenate(
+            (_ranges(starts + 1, narrow_lengths), _ranges(block_firsts, block_lengths, _UNROLL))
+        )
+        self.rest_index = (indices[self.rest_pairs], _indptr(np.concatenate((narrow_lengths, block_lengths))))
+        self.tail_pairs = _ranges(starts[wide] + 1 + full, wide_rest - full)
+        self.tail_index = (indices[self.tail_pairs], _indptr(wide_rest - full))
 
 
 def cluster_sum(layout: ClusterLayout, weights: Tensor, x: Tensor) -> Tensor:
@@ -493,12 +550,15 @@ def cluster_sum(layout: ClusterLayout, weights: Tensor, x: Tensor) -> Tensor:
     selection breaks exact ties by index; any other summation order (a plain
     ``spmm``, say) moves fitness by ~1e-16 and reorders the survivors.
 
-    reduceat adds a cluster's first product to the sum of the others, which
-    numpy adds left to right for clusters of up to eight members, as scipy's
-    CSR product does. The two sums start from -0.0 and +0.0 respectively, so
-    they differ only where every product of a cluster column is -0.0; such
-    clusters, and those of more than eight members, go through reduceat on
-    their own pairs only.
+    reduceat adds a cluster's first product to numpy's pairwise sum of the
+    others, and scipy's compiled CSR product repeats that order here. One
+    ``csr_matvecs`` call sums the rest of each cluster of up to eight members
+    left to right, and each wide cluster's eight accumulators. Their
+    combination, in numpy's order, then takes the wide cluster's tail in a
+    second ``csr_matvecs`` call that accumulates into it. The compiled sums
+    start from +0.0 where numpy's start from the first number, so they differ
+    only where every product of a cluster column is -0.0; such clusters, and
+    those of more than 129 members, go through reduceat on their own pairs.
 
     Backward: ``dX = S G`` is one CSR product and the weight gradient is
     ``G Xᵀ`` sampled on the pairs; neither forms a pairs x d tape node.
@@ -510,21 +570,30 @@ def cluster_sum(layout: ClusterLayout, weights: Tensor, x: Tensor) -> Tensor:
     if weights.data.shape != (layout.member_ids.shape[0], 1):
         raise ShapeError(f"weights must be {layout.member_ids.shape[0]}x1, got {weights.data.shape}")
     w = weights.data[:, 0]
-    members, starts = layout.member_ids, layout.starts
+    members, starts, wide = layout.member_ids, layout.starts, layout.wide
     firsts = w[starts, None] * data[members[starts]]
     rest_indices, rest_indptr = layout.rest_index
-    sums = firsts + _compressed_times_dense(
-        _sparsetools.csr_matvecs, (n, n), rest_indptr, rest_indices, w[layout.rest_pairs], data
+    rests = _compressed_times_dense(
+        _sparsetools.csr_matvecs, (rest_indptr.shape[0] - 1, n), rest_indptr, rest_indices, w[layout.rest_pairs], data
     )
-    exact = layout.wide
+    if wide.size:
+        r = rests[n:].reshape(wide.shape[0], _UNROLL, data.shape[1]).transpose(1, 0, 2)
+        blocks = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail_indices, tail_indptr = layout.tail_index
+        _compressed_times_dense(
+            _sparsetools.csr_matvecs, (wide.shape[0], n), tail_indptr, tail_indices, w[layout.tail_pairs], data,
+            out=blocks,
+        )
+        rests[wide] = blocks
+    sums = firsts + rests[:n]
+    exact = layout.exact
     negative_zero = firsts.view(np.int64) == _NEGATIVE_ZERO_BITS
     if negative_zero.any():
         exact = np.union1d(exact, np.flatnonzero(negative_zero.any(axis=1)))
     if exact.size:
         counts = layout.counts[exact]
-        offsets = np.cumsum(counts) - counts
-        pairs = np.repeat(starts[exact] - offsets, counts) + np.arange(offsets[-1] + counts[-1])
-        sums[exact] = np.add.reduceat(w[pairs, None] * data[members[pairs]], offsets, axis=0)
+        pairs = _ranges(starts[exact], counts)
+        sums[exact] = np.add.reduceat(w[pairs, None] * data[members[pairs]], np.cumsum(counts) - counts, axis=0)
     out = ops._out(sums)
 
     def backward(grad, accumulate):

@@ -118,7 +118,11 @@ class TrainConfig:
 
 
 def _key_value_lines(path, expected: str):
-    """``(line number, key, value)`` of each ``key = value`` line of a text file; ``#`` starts a comment."""
+    """``(line number, key, value)`` of each ``key = value`` line of a text file; ``#`` starts a comment.
+
+    A key may appear once: a repeat is an error at its line.
+    """
+    seen = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,6 +130,9 @@ def _key_value_lines(path, expected: str):
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected '{expected}', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ValueError(f"{path}:{line_no}: {key!r} repeats line {seen[key]}")
+        seen[key] = line_no
         yield line_no, key, value
 
 

@@ -64,6 +64,14 @@ def test_ingest_check_stats_mismatch_fails(tmp_path, capsys):
     assert "stats check: FAIL" in out
 
 
+def test_ingest_missing_directory_exits_with_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    code, out, err = run(["ingest", "--dir", str(missing), "--name", "FOO"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("--dir: ") and "missing dataset file" in err
+
+
 # ---------------------------------------------------------------------------
 # train / sweep
 

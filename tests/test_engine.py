@@ -177,6 +177,20 @@ def test_elementwise_activations_match_numpy():
     np.testing.assert_allclose(sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
 
 
+def test_leaky_relu_equals_the_select_bit_for_bit():
+    rng = np.random.default_rng(4)
+    tiny = np.nextafter(0.0, 1.0)
+    specials = np.array([0.0, -0.0, tiny, -tiny, 7 * tiny, -7 * tiny, 2.2e-308, -2.2e-308, 1.7e308, -1.7e308])
+    x = np.concatenate((specials, rng.standard_normal(1000) * 10.0 ** rng.integers(-320, 300, 1000)))[:, None]
+    assert leaky_relu(Tensor(x)).data.tobytes() == np.where(x > 0, x, 0.2 * x).tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, 1.5])
+def test_leaky_relu_rejects_slopes_outside_zero_to_one(slope):
+    with pytest.raises(ValueError, match="negative_slope"):
+        leaky_relu(Tensor(np.ones((2, 2))), slope)
+
+
 def test_reductions_match_numpy():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 3))

@@ -27,6 +27,8 @@ from asap_pool.engine import (
     spmm,
     spspmm,
 )
+from asap_pool.engine import ops
+from asap_pool.engine.sparse import _identity_merge
 from asap_pool.engine.tensor import EngineError, ShapeError
 
 
@@ -325,6 +327,66 @@ def test_add_identity_merges_existing_diagonal():
     np.testing.assert_allclose(out.to_dense(), [[4.0, 0.0], [0.0, 0.0]])
 
 
+def argsort_identity_merge(s):
+    """The merge as one stable argsort of ``s``'s keys then the identity's, collapsed by ``bincount``."""
+    n = s.shape[0]
+    diag = np.arange(n, dtype=np.int64)
+    all_rows = np.concatenate((s.rows, diag))
+    all_cols = np.concatenate((s.cols, diag))
+    all_vals = np.concatenate((s.values, np.ones(n)))
+    keys = all_rows * n + all_cols
+    order = np.argsort(keys, kind="stable")
+    sk, sr, sc, sv = keys[order], all_rows[order], all_cols[order], all_vals[order]
+    group_starts = np.concatenate(([0], np.flatnonzero(np.diff(sk)) + 1))
+    group_of = np.cumsum(np.concatenate(([0], (np.diff(sk) != 0).astype(np.int64))))
+    merged = np.bincount(group_of, weights=sv)
+    position = np.empty(all_rows.shape[0], dtype=np.int64)
+    position[order] = group_of
+    return sr[group_starts], sc[group_starts], merged, position[: s.nnz]
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 9),
+    density=st.floats(0.0, 1.0),
+    diagonal=st.sampled_from(["any", "none", "full"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_property_identity_merge_equals_argsort_merge(seed, n, density, diagonal):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    if diagonal != "any":
+        np.fill_diagonal(mask, diagonal == "full")
+    r, c = np.nonzero(mask)
+    values = rng.standard_normal(r.size)
+    values[rng.random(r.size) < 0.2] = -0.0
+    values[rng.random(r.size) < 0.1] = 0.0
+    values[rng.random(r.size) < 0.1] = -1.0
+    s = SparseMatrix((n, n), r, c, values)
+    for got, want in zip(_identity_merge(s), argsort_identity_merge(s)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_sparse_make_rejects_an_unsorted_pattern(monkeypatch):
+    monkeypatch.setattr(ops, "DEBUG_CHECKS", False)  # sparse_make checks its pattern even so
+    values = Tensor(np.ones((2, 1)))
+    with pytest.raises(EngineError, match="row-major"):
+        sparse_make((2, 2), [1, 0], [0, 1], values)
+    with pytest.raises(EngineError, match="duplicate"):
+        sparse_make((2, 2), [0, 0], [1, 1], values)
+
+
+def test_op_outputs_are_scanned_only_under_debug_checks(monkeypatch):
+    s = SparseMatrix((2, 2), [0, 1], [1, 0], [2.0, 3.0])
+    monkeypatch.setattr(SparseMatrix, "__init__", None)  # fails if an op calls the validating constructor
+    monkeypatch.setattr(ops, "DEBUG_CHECKS", False)
+    out = normalize_gcn(s)
+    np.testing.assert_array_equal(out.rows, [0, 0, 1, 1])
+    monkeypatch.setattr(ops, "DEBUG_CHECKS", True)
+    with pytest.raises(TypeError):
+        normalize_gcn(s)
+
+
 def test_zero_diagonal_matches_dense():
     rng = np.random.default_rng(8)
     s = sparse_add_identity(random_sparse(rng, 4, 4))
@@ -486,7 +548,7 @@ def test_cluster_sum_matches_loop():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("size", [1, 2, 8, 9, 20, 130])
+@pytest.mark.parametrize("size", [1, 2, 8, 9, 16, 17, 20, 128, 129, 130, 137, 200, 257])
 def test_cluster_sum_rounds_like_reduceat_at_each_cluster_size(size):
     rng = np.random.default_rng(size)
     layout = random_layout(rng, [size] * 3)
@@ -507,7 +569,9 @@ def test_cluster_sum_keeps_negative_zero():
 
 @given(
     seed=st.integers(0, 2**31 - 1),
-    sizes=st.lists(st.sampled_from([1, 2, 3, 8, 9, 20, 27]), min_size=1, max_size=12),
+    sizes=st.lists(
+        st.sampled_from([1, 2, 3, 8, 9, 16, 17, 20, 27, 128, 129, 130, 137, 200, 257]), min_size=1, max_size=12
+    ),
     d=st.integers(1, 4),
 )
 @settings(max_examples=60, deadline=None)
@@ -519,6 +583,30 @@ def test_property_cluster_sum_rounds_like_reduceat(seed, sizes, d):
     got = cluster_sum(layout, Tensor(w[:, None]), Tensor(x)).data
     want = np.add.reduceat(w[:, None] * x[layout.member_ids], layout.starts, axis=0)
     assert got.tobytes() == want.tobytes()
+
+
+def test_cluster_layout_splits_wide_clusters_into_eight_accumulators():
+    # Cluster 0 has 1 + 19 members: accumulator j holds rest pairs j and j + 8,
+    # the tail the last three; cluster 1 (three members) stays on its own row.
+    layout = layout_of([np.arange(20), [0, 1, 2]] + [[c] for c in range(2, 20)])
+    np.testing.assert_array_equal(layout.wide, [0])
+    rest_indices, rest_indptr = layout.rest_index
+    n = layout.n
+    np.testing.assert_array_equal(np.diff(rest_indptr), [0, 2] + [0] * (n - 2) + [2] * 8)
+    np.testing.assert_array_equal(layout.rest_pairs[:2], [21, 22])
+    np.testing.assert_array_equal(layout.rest_pairs[2:].reshape(8, 2), np.arange(1, 17).reshape(2, 8).T)
+    np.testing.assert_array_equal(layout.tail_pairs, [17, 18, 19])
+    np.testing.assert_array_equal(layout.tail_index[0], [17, 18, 19])
+
+
+def test_cluster_layout_without_wide_clusters_keeps_one_row_per_cluster():
+    layout = random_layout(np.random.default_rng(22), [1, 2, 8, 3])
+    indices, indptr = layout.index
+    rest = np.setdiff1d(np.arange(layout.member_ids.shape[0]), layout.starts)
+    np.testing.assert_array_equal(layout.rest_pairs, rest)
+    np.testing.assert_array_equal(layout.rest_index[0], indices[rest])
+    np.testing.assert_array_equal(layout.rest_index[1], indptr - np.arange(layout.n + 1))
+    assert layout.wide.size == layout.tail_pairs.size == layout.exact.size == 0
 
 
 def test_gradient_cluster_ops():

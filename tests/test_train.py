@@ -158,6 +158,14 @@ def test_config_from_file_reports_the_line_of_a_bad_value(tmp_path, line, proble
     assert str(excinfo.value).startswith(f"{path}:3: ")
 
 
+def test_config_from_file_rejects_a_repeated_key_at_the_repeat(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("hidden = 16\nlr = 0.001\nhidden = 32\n")
+    with pytest.raises(ValueError, match="'hidden' repeats line 1") as excinfo:
+        TrainConfig.from_file(path)
+    assert str(excinfo.value).startswith(f"{path}:3: ")
+
+
 def test_config_pool_and_model_views():
     config = TrainConfig(hidden=16, k=0.75, h=2, fitness="GCN")
     pool = config.pool_config()
@@ -287,6 +295,14 @@ def test_parse_grid_reports_the_line_of_a_bad_key_or_value(tmp_path, line, probl
     path = tmp_path / "grid.txt"
     path.write_text(f"# search space\nlr = 0.01, 0.001\n{line}\n")
     with pytest.raises(ValueError, match=problem) as excinfo:
+        parse_grid(path)
+    assert str(excinfo.value).startswith(f"{path}:3: ")
+
+
+def test_parse_grid_rejects_a_repeated_key_at_the_repeat(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("lr = 0.01, 0.001\n# again\nlr = 0.1\n")
+    with pytest.raises(ValueError, match="'lr' repeats line 1") as excinfo:
         parse_grid(path)
     assert str(excinfo.value).startswith(f"{path}:3: ")
 
