@@ -10,16 +10,28 @@ line, nodes numbered 1..N across the whole collection),
 Node features are chosen from the richest available source: real-valued
 attributes when present, else one-hot node labels, else a single normalized
 degree column (degree divided by the collection-wide maximum).
+
+The loader works on whole files: one byte scan finds each file's lines,
+tokens and comma-separated fields, one ``np.array`` call converts all of a
+file's tokens (it accepts what ``int()``/``float()`` accept), and
+``graphs.adjacency_blocks`` builds every graph's adjacency from one sort.
+A malformed file raises :class:`TUFormatError` as ``path:line: message``
+for the first line at fault, found in bulk and then described by the
+line-by-line check. The files are checked in turn (indicator, graph labels,
+edges, node features), then graph ids for empty graphs; an integer outside
+int64 in the indicator or a label file is a bad value.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import Dataset, Graph, graph_from_edges, random_tree_edges
+from .engine import Tensor
+from .graphs import Dataset, Graph, adjacency_blocks, graph_from_edges, random_tree_edges
 
 __all__ = [
     "TUFormatError",
@@ -71,82 +83,199 @@ KNOWN_DATASET_STATS: dict[str, DatasetStats] = {
 
 _NAME_ALIASES = {"D&D": "DD"}
 
+_OTHER_SPACE = re.compile(r"[^\S\n]")
+_TAB, _NEWLINE, _SPACE, _COMMA = (ord(c) for c in "\t\n ,")
+_INT64 = np.iinfo(np.int64)
+# Tokens converted per call while looking for the first one that fails.
+_CHUNK = 4096
 
-def _numbered_lines(path: Path) -> list[tuple[int, str]]:
-    """The non-blank lines of ``path`` with their 1-based line numbers."""
-    if not path.is_file():
-        raise FileNotFoundError(f"missing dataset file {path}")
-    return [(i + 1, line) for i, line in enumerate(path.read_text().splitlines()) if line.strip()]
 
+class _Scan:
+    """A text file's non-blank lines, its rows here, and their tokens, found by whole-file byte passes.
 
-def _check_count(path, lines: list[tuple[int, str]], expected: int, what: str) -> None:
-    """Reject a file without exactly ``expected`` entries.
-
-    A surplus is reported at the line of the first extra entry, a shortfall
-    at the last entry's line (line 1 for a file with none).
+    Tokens are separated by whitespace, and by commas too in a comma-separated
+    file, where each comma-separated field must hold one token. Lines are
+    those of ``str.splitlines`` and whitespace is that of ``str.split``: a
+    file with bytes other than printable ASCII, space, tab and newline is
+    read as text, split into lines, and has every other whitespace character
+    turned into a space before the byte passes.
     """
-    if len(lines) != expected:
-        line_no = lines[expected][0] if len(lines) > expected else (lines[-1][0] if lines else 1)
-        raise TUFormatError(path, line_no, f"expected {expected} {what}, got {len(lines)}")
+
+    def __init__(self, path: Path, comma_separated: bool):
+        if not path.is_file():
+            raise FileNotFoundError(f"missing dataset file {path}")
+        self.path = path
+        raw = path.read_bytes()
+        b = np.frombuffer(raw, dtype=np.uint8)
+        if (((b < _SPACE) | (b > 126)) & (b != _TAB) & (b != _NEWLINE)).any():
+            self._lines = path.read_text().splitlines()
+            text = _OTHER_SPACE.sub(" ", "\n".join(self._lines))
+            b = np.frombuffer(text.encode(), dtype=np.uint8)
+        else:
+            text, self._lines = raw.decode("ascii"), None
+        self._text = text
+        newline = b == _NEWLINE
+        breaks = newline | (b == _COMMA) if comma_separated else newline
+        sep = breaks | (b == _SPACE) | (b == _TAB)
+        starts = ~sep
+        starts[1:] &= sep[:-1]
+        # Token starts and line or field breaks, in file order, each with its line.
+        events = np.flatnonzero(starts | breaks)
+        is_break, is_newline = breaks[events], newline[events]
+        self._newlines = events[is_newline]
+        event_line = np.cumsum(is_newline) - is_newline
+        n_lines = self._newlines.shape[0] + 1
+        tokens = np.bincount(event_line[~is_break], minlength=n_lines)
+        commas = np.bincount(event_line[is_break & ~is_newline], minlength=n_lines)
+        # A line is in fields of one token each iff it has one token more
+        # than commas and no two tokens follow each other.
+        adjacent = event_line[1:][~is_break[1:] & ~is_break[:-1]]
+        ragged = tokens != commas + 1
+        ragged[adjacent] = True
+        nonblank = (tokens > 0) | (commas > 0)
+        self._line_index = np.flatnonzero(nonblank)
+        self.line_nos = self._line_index + 1
+        self.fields = (commas + 1)[self._line_index]
+        self.ragged = ragged[self._line_index]
+        self.token_row = np.repeat(np.arange(self._line_index.shape[0]), tokens[self._line_index])
+        self.tokens = (text.replace(",", " ") if comma_separated else text).split()
+
+    def __len__(self) -> int:
+        return self.line_nos.shape[0]
+
+    def line(self, row: int) -> str:
+        """Row ``row``'s line as ``str.splitlines`` gives it."""
+        i = int(self._line_index[row])
+        if self._lines is not None:
+            return self._lines[i]
+        start = int(self._newlines[i - 1]) + 1 if i else 0
+        end = int(self._newlines[i]) if i < self._newlines.shape[0] else len(self._text)
+        return self._text[start:end]
+
+    def check_count(self, expected: int, what: str) -> None:
+        """Reject a file without exactly ``expected`` entries.
+
+        A surplus is reported at the line of the first extra entry, a shortfall
+        at the last entry's line (line 1 for a file with none).
+        """
+        if len(self) != expected:
+            row = expected if len(self) > expected else len(self) - 1
+            line_no = int(self.line_nos[row]) if row >= 0 else 1
+            raise TUFormatError(self.path, line_no, f"expected {expected} {what}, got {len(self)}")
+
+    def raise_first(self, bad: np.ndarray, check) -> None:
+        """Run ``check(path, line_no, line)`` on the rows ``bad`` flags, in file order, until one raises.
+
+        ``bad`` may flag more rows than ``check`` rejects, never fewer.
+        """
+        for row in np.flatnonzero(bad):
+            check(self.path, int(self.line_nos[row]), self.line(row))
+        if bad.any():
+            raise AssertionError(f"{self.path}: a flagged line passed its check")
+
+    def values(self, dtype, check, bad_rows=None, bad_value=None) -> np.ndarray:
+        """Every token converted by one ``np.array`` call, once no line fails ``check``.
+
+        The lines checked are the ragged ones, those ``bad_rows`` flags, those
+        holding a value ``bad_value`` flags, and every line from the first
+        token that does not convert on. ``np.array`` of a ``str`` accepts and
+        rejects what ``int()``/``float()`` do, and also rejects an int
+        outside int64.
+        """
+        bad = self.ragged.copy()
+        if bad_rows is not None:
+            bad |= bad_rows
+        values = _converted_prefix(self.tokens, dtype)
+        if values.shape[0] < len(self.tokens):
+            bad[self.token_row[values.shape[0]]:] = True
+        if bad_value is not None:
+            bad[self.token_row[np.flatnonzero(bad_value(values))]] = True
+        self.raise_first(bad, check)
+        return values
+
+    def ints(self, what: str) -> np.ndarray:
+        """One int64 per line."""
+        return self.values(np.int64, lambda path, i, line: _parse_int(path, i, line, what, int64=True))
 
 
-def _parse_int(path, line_no, text, what) -> int:
+def _converts(tokens: list[str], dtype) -> bool:
     try:
-        return int(text.strip())
+        np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _converted_prefix(tokens: list[str], dtype) -> np.ndarray:
+    """``tokens`` as one array, or as many of them as come before the first that fails to convert."""
+    try:
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        pass
+    lo = next(lo for lo in range(0, len(tokens), _CHUNK) if not _converts(tokens[lo : lo + _CHUNK], dtype))
+    first = next(k for k in range(lo, lo + _CHUNK) if not _converts(tokens[k : k + 1], dtype))
+    return np.array(tokens[:first], dtype=dtype)
+
+
+def _parse_int(path, line_no, text, what, int64: bool = False) -> int:
+    try:
+        value = int(text.strip())
     except ValueError:
         raise TUFormatError(path, line_no, f"bad {what}: {text.strip()!r}") from None
+    if int64 and not _INT64.min <= value <= _INT64.max:
+        raise TUFormatError(path, line_no, f"bad {what}: {text.strip()!r} is outside int64")
+    return value
+
+
+def _edge_check(n_nodes: int):
+    def check(path, line_no, line):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise TUFormatError(path, line_no, f"expected 'i, j', got {line.strip()!r}")
+        u = _parse_int(path, line_no, parts[0], "node id")
+        v = _parse_int(path, line_no, parts[1], "node id")
+        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
+            raise TUFormatError(path, line_no, f"node id outside 1..{n_nodes}")
+
+    return check
+
+
+def _attribute_check(path, line_no, line):
+    try:
+        [float(tok) for tok in line.split(",")]
+    except ValueError:
+        raise TUFormatError(path, line_no, f"bad attribute row {line.strip()!r}") from None
 
 
 def load_tu_dataset(directory, name: str) -> Dataset:
     """Load a named graph collection from ``directory/name/name_*.txt``."""
-    root = Path(directory) / name
-    prefix = root / name
+    prefix = Path(directory) / name / name
 
-    indicator_path = Path(f"{prefix}_graph_indicator.txt")
-    indicator_lines = _numbered_lines(indicator_path)
-    indicator_line_nos = [i for i, _ in indicator_lines]
-    node_graph = np.array(
-        [_parse_int(indicator_path, i, line, "graph id") for i, line in indicator_lines],
-        dtype=np.int64,
-    )
+    indicator = _Scan(Path(f"{prefix}_graph_indicator.txt"), comma_separated=False)
+    node_graph = indicator.ints("graph id")
     if node_graph.size == 0:
-        raise TUFormatError(indicator_path, 1, "no nodes listed")
+        raise TUFormatError(indicator.path, 1, "no nodes listed")
     if node_graph.min() < 1:
         first = int(np.argmax(node_graph < 1))
-        raise TUFormatError(indicator_path, indicator_line_nos[first], "graph ids must be positive")
+        raise TUFormatError(indicator.path, int(indicator.line_nos[first]), "graph ids must be positive")
     n_nodes = node_graph.shape[0]
     n_graphs = int(node_graph.max())
 
-    labels_path = Path(f"{prefix}_graph_labels.txt")
-    label_lines = _numbered_lines(labels_path)
-    _check_count(labels_path, label_lines, n_graphs, "graph labels")
-    raw_labels = np.array(
-        [_parse_int(labels_path, i, line, "graph label") for i, line in label_lines], dtype=np.int64
-    )
-    classes = np.unique(raw_labels)
-    label_of = {int(c): idx for idx, c in enumerate(classes)}
-    labels = np.array([label_of[int(v)] for v in raw_labels], dtype=np.int64)
+    graph_labels = _Scan(Path(f"{prefix}_graph_labels.txt"), comma_separated=False)
+    graph_labels.check_count(n_graphs, "graph labels")
+    classes, labels = np.unique(graph_labels.ints("graph label"), return_inverse=True)
 
-    edges_path = Path(f"{prefix}_A.txt")
-    edge_rows: list[tuple[int, int, int]] = []  # (line number, u, v), nodes 0-based
-    for i, line in _numbered_lines(edges_path):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TUFormatError(edges_path, i, f"expected 'i, j', got {line.strip()!r}")
-        u = _parse_int(edges_path, i, parts[0], "node id")
-        v = _parse_int(edges_path, i, parts[1], "node id")
-        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise TUFormatError(edges_path, i, f"node id outside 1..{n_nodes}")
-        if u == v:
-            continue  # stray self loops are dropped
-        edge_rows.append((i, u - 1, v - 1))
-    edge_lines, heads, tails = np.array(edge_rows, dtype=np.int64).reshape(-1, 3).T
+    edges = _Scan(Path(f"{prefix}_A.txt"), comma_separated=True)
+    ends = edges.values(np.int64, _edge_check(n_nodes), bad_rows=edges.fields != 2,
+                        bad_value=lambda v: (v < 1) | (v > n_nodes))
+    ends = ends.reshape(-1, 2) - 1
+    kept = np.flatnonzero(ends[:, 0] != ends[:, 1])  # stray self loops are dropped
+    heads, tails = ends[kept, 0], ends[kept, 1]
     crossing = np.flatnonzero(node_graph[heads] != node_graph[tails])
     if crossing.size:
         k = crossing[0]
-        raise TUFormatError(
-            edges_path, int(edge_lines[k]), f"edge ({heads[k] + 1}, {tails[k] + 1}) crosses graphs"
-        )
+        raise TUFormatError(edges.path, int(edges.line_nos[kept[k]]),
+                            f"edge ({heads[k] + 1}, {tails[k] + 1}) crosses graphs")
     features = _node_features(prefix, n_nodes, heads, tails)
 
     sizes = np.bincount(node_graph, minlength=n_graphs + 1)[1:]
@@ -155,64 +284,46 @@ def load_tu_dataset(directory, name: str) -> Dataset:
         gid = int(empty[0]) + 1
         # Ids run up to n_graphs, so some line lists a graph past the empty one.
         skip = int(np.argmax(node_graph > gid))
-        raise TUFormatError(indicator_path, indicator_line_nos[skip], f"graph {gid} has no nodes")
+        raise TUFormatError(indicator.path, int(indicator.line_nos[skip]), f"graph {gid} has no nodes")
 
-    # Slice the flat arrays into per-graph blocks: nodes grouped by graph in
-    # file order, each numbered by its rank within its graph, and edges
-    # grouped by graph in file order.
+    # Renumber the nodes graph by graph, in file order within each graph.
     node_order = np.argsort(node_graph, kind="stable")
-    node_starts = np.concatenate(([0], np.cumsum(sizes)))
-    local = np.empty(n_nodes, dtype=np.int64)
-    local[node_order] = np.arange(n_nodes) - np.repeat(node_starts[:-1], sizes)
-    edge_graph = node_graph[heads]
-    edge_order = np.argsort(edge_graph, kind="stable")
-    edge_starts = np.searchsorted(edge_graph[edge_order], np.arange(1, n_graphs + 2))
-    local_heads = local[heads[edge_order]].tolist()
-    local_tails = local[tails[edge_order]].tolist()
-    graphs: list[Graph] = []
-    for g in range(n_graphs):
-        members = node_order[node_starts[g] : node_starts[g + 1]]
-        lo, hi = edge_starts[g], edge_starts[g + 1]
-        graphs.append(
-            graph_from_edges(
-                members.size,
-                zip(local_heads[lo:hi], local_tails[lo:hi]),
-                features=features[members],
-                label=int(labels[g]),
-            )
-        )
+    renumbered = np.empty(n_nodes, dtype=np.int64)
+    renumbered[node_order] = np.arange(n_nodes)
+    adjacencies = adjacency_blocks(sizes, renumbered[heads], renumbered[tails])
+    features = features[node_order]
+    offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    graphs = [
+        Graph(adjacency=a, features=Tensor(features[lo:hi]), label=label)
+        for a, lo, hi, label in zip(adjacencies, offsets[:-1], offsets[1:], labels.tolist())
+    ]
     return Dataset(name=name, graphs=graphs, n_classes=len(classes))
 
 
 def _node_features(prefix, n_nodes: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
     attributes_path = Path(f"{prefix}_node_attributes.txt")
     if attributes_path.is_file():
-        lines = _numbered_lines(attributes_path)
-        _check_count(attributes_path, lines, n_nodes, "attribute rows")
-        rows, row_line_nos = [], []
-        for i, line in lines:
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise TUFormatError(attributes_path, i, f"bad attribute row {line.strip()!r}") from None
-            row_line_nos.append(i)
-        for row, line_no in zip(rows, row_line_nos):
-            if len(row) != len(rows[0]):
-                raise TUFormatError(
-                    attributes_path,
-                    line_no,
-                    f"inconsistent attribute widths: {len(row)} values, the first row has {len(rows[0])}",
-                )
-        return np.array(rows, dtype=np.float64)
+        rows = _Scan(attributes_path, comma_separated=True)
+        rows.check_count(n_nodes, "attribute rows")
+        values = rows.values(np.float64, _attribute_check)
+        width = int(rows.fields[0])
+        ragged = np.flatnonzero(rows.fields != width)
+        if ragged.size:
+            row = ragged[0]
+            raise TUFormatError(
+                attributes_path,
+                int(rows.line_nos[row]),
+                f"inconsistent attribute widths: {rows.fields[row]} values, the first row has {width}",
+            )
+        return values.reshape(n_nodes, width)
 
     labels_path = Path(f"{prefix}_node_labels.txt")
     if labels_path.is_file():
-        lines = _numbered_lines(labels_path)
-        _check_count(labels_path, lines, n_nodes, "node labels")
-        raw = np.array([_parse_int(labels_path, i, line, "node label") for i, line in lines], dtype=np.int64)
-        values = np.unique(raw)
+        lines = _Scan(labels_path, comma_separated=False)
+        lines.check_count(n_nodes, "node labels")
+        values, column = np.unique(lines.ints("node label"), return_inverse=True)
         onehot = np.zeros((n_nodes, values.shape[0]))
-        onehot[np.arange(n_nodes), np.searchsorted(values, raw)] = 1.0
+        onehot[np.arange(n_nodes), column] = 1.0
         return onehot
 
     # Each undirected edge counts once, however often and in whichever direction it is listed.

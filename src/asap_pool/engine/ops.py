@@ -133,7 +133,8 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     slope = float(negative_slope)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu needs 0 < negative_slope < 1, got {negative_slope}")
-    out = _out(np.maximum(x.data, slope * x.data))
+    scaled = slope * x.data
+    out = _out(np.maximum(x.data, scaled, out=scaled))
 
     def backward(grad, accumulate):
         accumulate(x, grad * np.where(x.data > 0.0, 1.0, slope))

@@ -61,8 +61,8 @@ class SparseMatrix:
 
     Entries are sorted by ``(row, col)`` and unique; ``values[k]`` is the
     entry at ``(rows[k], cols[k])``. The pattern is immutable; ``values`` may
-    be perturbed in place (finite-difference checks do), which is why the CSR
-    view is only cached for untracked matrices.
+    be perturbed in place (finite-difference checks do). ``_csr`` stays
+    ``None``: no scipy matrix is cached, so none can share these arrays.
     """
 
     __slots__ = ("shape", "rows", "cols", "values", "requires_grad", "grad", "_csr", "_index")
@@ -80,10 +80,10 @@ class SparseMatrix:
             if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
                 raise IndexError(f"sparse entry outside shape ({n_rows}, {n_cols})")
             keys = _encode(rows, cols, n_cols)
-            deltas = np.diff(keys)
-            if np.any(deltas < 0):
+            deltas = keys[1:] - keys[:-1]
+            if (deltas < 0).any():
                 raise EngineError("sparse entries must be in row-major order")
-            if np.any(deltas == 0):
+            if (deltas == 0).any():
                 raise EngineError("duplicate sparse entry")
         self._set((n_rows, n_cols), rows, cols, values, bool(requires_grad))
 
@@ -113,11 +113,6 @@ class SparseMatrix:
         order = np.lexsort((cols, rows))
         return cls(shape, rows[order], cols[order], values[order], requires_grad=requires_grad)
 
-    @classmethod
-    def empty(cls, shape) -> "SparseMatrix":
-        z = np.zeros(0)
-        return cls(shape, z, z, z)
-
     @property
     def nnz(self) -> int:
         return self.values.shape[0]
@@ -133,18 +128,15 @@ class SparseMatrix:
         return self._index
 
     def csr(self) -> sp.csr_matrix:
-        """scipy CSR matrix of the current values (cached only when untracked).
+        """A new scipy CSR matrix of the current values, on copies of the arrays.
 
         The engine's own products call scipy's kernels on :meth:`csr_index`
-        and build no scipy matrix; this is for callers that want one.
+        and build no scipy matrix; this is for callers that want one, and
+        what they do to it leaves the pattern and values here as they are.
         """
-        if self._csr is not None:
-            return self._csr
         indices, indptr = self.csr_index()
-        mat = sp.csr_matrix((self.values, indices, indptr), shape=self.shape)
+        mat = sp.csr_matrix((self.values.copy(), indices.copy(), indptr.copy()), shape=self.shape)
         mat.has_canonical_format = True
-        if not self.requires_grad:
-            self._csr = mat
         return mat
 
     def to_dense(self) -> np.ndarray:
@@ -571,7 +563,8 @@ def cluster_sum(layout: ClusterLayout, weights: Tensor, x: Tensor) -> Tensor:
         raise ShapeError(f"weights must be {layout.member_ids.shape[0]}x1, got {weights.data.shape}")
     w = weights.data[:, 0]
     members, starts, wide = layout.member_ids, layout.starts, layout.wide
-    firsts = w[starts, None] * data[members[starts]]
+    firsts = np.take(data, members[starts], axis=0)
+    firsts *= w[starts, None]
     rest_indices, rest_indptr = layout.rest_index
     rests = _compressed_times_dense(
         _sparsetools.csr_matvecs, (rest_indptr.shape[0] - 1, n), rest_indptr, rest_indices, w[layout.rest_pairs], data
@@ -585,11 +578,12 @@ def cluster_sum(layout: ClusterLayout, weights: Tensor, x: Tensor) -> Tensor:
             out=blocks,
         )
         rests[wide] = blocks
-    sums = firsts + rests[:n]
     exact = layout.exact
     negative_zero = firsts.view(np.int64) == _NEGATIVE_ZERO_BITS
     if negative_zero.any():
         exact = np.union1d(exact, np.flatnonzero(negative_zero.any(axis=1)))
+    sums = firsts
+    sums += rests[:n]
     if exact.size:
         counts = layout.counts[exact]
         pairs = _ranges(starts[exact], counts)

@@ -30,6 +30,7 @@ __all__ = [
     "Dataset",
     "GraphBatch",
     "graph_from_edges",
+    "adjacency_blocks",
     "batch_graphs",
     "permute_graph",
     "h_hop_membership",
@@ -58,15 +59,17 @@ class Graph:
                 f"feature rows ({x.data.shape[0]}) must match node count ({a.shape[0]})"
             )
         if a.nnz:
-            if np.any(a.values < 0.0):
+            if (a.values < 0.0).any():
                 raise ValueError("adjacency weights must be non-negative")
-            if np.any(a.rows == a.cols):
+            if (a.rows == a.cols).any():
                 raise ValueError("adjacency must not store diagonal entries")
+            # Sorted by (col, row), the entries must list the same keys and
+            # weights as by (row, col); NaN never equals itself.
             transposed_keys = a.cols * a.shape[0] + a.rows
-            if not np.array_equal(np.sort(transposed_keys), a.pattern_key()):
-                raise ValueError("adjacency pattern must be symmetric")
             order = np.argsort(transposed_keys, kind="stable")
-            if not np.allclose(a.values[order], a.values, rtol=0.0, atol=0.0):
+            if not np.array_equal(transposed_keys[order], a.pattern_key()):
+                raise ValueError("adjacency pattern must be symmetric")
+            if not np.array_equal(a.values[order], a.values):
                 raise ValueError("adjacency weights must be symmetric")
 
     @property
@@ -129,32 +132,65 @@ class GraphBatch:
         return self.adjacency.shape[0]
 
 
+def adjacency_blocks(sizes, heads, tails, weights=None) -> list[SparseMatrix]:
+    """Each graph's symmetric adjacency, from undirected edges numbered across all graphs.
+
+    Graph ``g`` holds nodes ``offsets[g]`` to ``offsets[g + 1] - 1``, with
+    ``offsets`` the running sum of ``sizes``; each edge ``(heads[k],
+    tails[k])`` joins two distinct nodes of one graph. One ``np.unique``
+    dedupes the edges, the last weight winning (unit weights by default);
+    one sort of the mirrored entries puts every graph's pattern in
+    row-major order, and each graph gets its slice, renumbered from 0.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    span = max(int(offsets[-1]), 1)
+    lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
+    weights = np.ones(lo.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
+    # The first of each key in the reversed list is the last one given.
+    keys, last = np.unique((lo * span + hi)[::-1], return_index=True)
+    entries = np.concatenate((keys, keys % span * span + keys // span))
+    order = np.argsort(entries)
+    entries = entries[order]
+    kept = weights[::-1][last]
+    values = np.concatenate((kept, kept))[order]
+    rows, cols = entries // span, entries % span
+    bounds = np.searchsorted(rows, offsets)
+    first = np.repeat(offsets[:-1], bounds[1:] - bounds[:-1])
+    rows -= first
+    cols -= first
+    bounds = bounds.tolist()
+    return [
+        SparseMatrix((n, n), rows[a:b], cols[a:b], values[a:b])
+        for n, a, b in zip(sizes.tolist(), bounds[:-1], bounds[1:])
+    ]
+
+
 def graph_from_edges(n_nodes: int, edges, features=None, label=None, weights=None) -> Graph:
     """Build a graph from undirected edge pairs (deduplicated, symmetrized).
 
     ``edges`` is an iterable of ``(u, v)`` pairs; self loops are rejected.
-    ``features`` defaults to a constant-one column.
+    A repeated edge keeps its last weight. ``features`` defaults to a
+    constant-one column.
     """
-    pairs = {}
-    for k, (u, v) in enumerate(edges):
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"self loop on node {u}")
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise ValueError(f"edge ({u}, {v}) outside {n_nodes} nodes")
-        w = 1.0 if weights is None else float(weights[k])
-        key = (min(u, v), max(u, v))
-        pairs[key] = w
-    if pairs:
-        keys = sorted(pairs)
-        uv = np.array(keys, dtype=np.int64)
-        w = np.array([pairs[k] for k in keys], dtype=np.float64)
-        rows = np.concatenate((uv[:, 0], uv[:, 1]))
-        cols = np.concatenate((uv[:, 1], uv[:, 0]))
-        vals = np.concatenate((w, w))
-        adjacency = SparseMatrix.from_coo((n_nodes, n_nodes), rows, cols, vals)
-    else:
-        adjacency = SparseMatrix.empty((n_nodes, n_nodes))
+    pairs = np.array(list(edges), dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n_nodes))
+    if bad.size:
+        k = bad[0]
+        if u[k] == v[k]:
+            raise ValueError(f"self loop on node {u[k]}")
+        raise ValueError(f"edge ({u[k]}, {v[k]}) outside {n_nodes} nodes")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)[: u.shape[0]]
+        if weights.shape[0] < u.shape[0]:
+            raise IndexError(f"{u.shape[0]} edges but {weights.shape[0]} weights")
+    (adjacency,) = adjacency_blocks([n_nodes], u, v, weights)
     if features is None:
         features = np.ones((n_nodes, 1))
     return Graph(adjacency=adjacency, features=Tensor(features), label=label)

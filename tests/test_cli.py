@@ -72,6 +72,14 @@ def test_ingest_missing_directory_exits_with_usage_error(tmp_path, capsys):
     assert err.startswith("--dir: ") and "missing dataset file" in err
 
 
+def test_ingest_integer_outside_int64_exits_with_usage_error(tmp_path, capsys):
+    write_fixture(tmp_path, "TOY", dict(BASE_FILES, graph_labels=["1", "99999999999999999999"]))
+    code, out, err = run(["ingest", "--dir", str(tmp_path), "--name", "TOY"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("--dir: ") and "TOY_graph_labels.txt:2: bad graph label" in err
+
+
 # ---------------------------------------------------------------------------
 # train / sweep
 

@@ -1,8 +1,15 @@
 """Benchmark-format ingestion, stats checking, and the synthetic motif corpus."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import _tu_oracle as oracle
 from asap_pool.datasets import (
     KNOWN_DATASET_STATS,
     DatasetStats,
@@ -13,7 +20,7 @@ from asap_pool.datasets import (
     synthetic_motif_dataset,
     write_tu_dataset,
 )
-from asap_pool.graphs import graph_from_edges
+from asap_pool.graphs import Dataset, graph_from_edges
 
 
 def write_fixture(root, name, files):
@@ -246,6 +253,261 @@ def test_write_then_load_round_trip(tmp_path):
         np.testing.assert_allclose(a.adjacency.to_dense(), b.adjacency.to_dense())
         np.testing.assert_allclose(a.features.data, b.features.data, atol=1e-12)
         assert a.label == b.label
+
+
+@pytest.mark.parametrize(
+    "suffix, what, value",
+    [
+        ("graph_indicator", "graph id", "99999999999999999999"),
+        ("graph_labels", "graph label", "-9223372036854775809"),
+        ("node_labels", "node label", "99999999999999999999"),
+    ],
+)
+def test_load_reports_line_of_integer_outside_int64(tmp_path, suffix, what, value):
+    files = dict(BASE_FILES, node_labels=["7", "5", "7", "5", "5"])
+    files[suffix] = list(files[suffix])
+    files[suffix][1] = value
+    write_fixture(tmp_path, "T", files)
+    with pytest.raises(TUFormatError) as exc:
+        load_tu_dataset(tmp_path, "T")
+    assert str(exc.value) == f"{tmp_path}/T/T_{suffix}.txt:2: bad {what}: {value!r} is outside int64"
+
+
+def test_load_reports_an_edge_id_outside_int64_as_out_of_range(tmp_path):
+    files = dict(BASE_FILES, A=["1, 2", "2, 99999999999999999999"])
+    write_fixture(tmp_path, "T", files)
+    with pytest.raises(TUFormatError, match=r"T_A.txt:2: node id outside 1\.\.5$"):
+        load_tu_dataset(tmp_path, "T")
+
+
+def test_load_reads_other_line_breaks_and_whitespace_as_str_does(tmp_path):
+    # CRLF and form-feed line breaks, no-break spaces, Arabic-Indic digits, a
+    # sign, an underscore and a leading zero all read as splitlines()/int() do.
+    d = tmp_path / "U"
+    d.mkdir()
+    (d / "U_A.txt").write_bytes("1, 2\r\n2 ,1\x0c\u0663,\xa004\n".encode())
+    (d / "U_graph_indicator.txt").write_bytes("1\r\n+1\r\n\r\n0_2\r\n\u0662\n".encode())
+    (d / "U_graph_labels.txt").write_bytes("4\xa0\n\n5\n".encode())
+    first, second = load_tu_dataset(tmp_path, "U").graphs
+    for g in (first, second):
+        np.testing.assert_array_equal(g.adjacency.to_dense(), [[0, 1], [1, 0]])
+    assert (first.label, second.label) == (0, 1)
+    assert_same_outcome(tmp_path, "U")
+
+
+# ---------------------------------------------------------------------------
+# The bulk loader against the line-by-line oracle
+
+
+def outcome(load, root, name):
+    """Every graph's raw arrays, or the type and text of the error loading raised."""
+    try:
+        ds = load(root, name)
+    except Exception as exc:  # the oracle's own errors are the expectation
+        return type(exc), str(exc)
+    graphs = [
+        (g.label, type(g.label), g.adjacency.shape, g.features.data.shape, g.features.data.dtype,
+         g.adjacency.rows.tobytes(), g.adjacency.cols.tobytes(), g.adjacency.values.tobytes(),
+         g.features.data.tobytes())
+        for g in ds.graphs
+    ]
+    return ds.name, ds.n_classes, graphs
+
+
+def assert_same_outcome(root, name):
+    expected = outcome(oracle.load_tu_dataset, root, name)
+    assert outcome(load_tu_dataset, root, name) == expected
+    return expected
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+
+
+@st.composite
+def int_text(draw, value, fancy):
+    """A spelling of ``value`` that ``int()`` reads back."""
+    text = str(value)
+    if fancy and value >= 0:
+        text = draw(st.sampled_from([text, "+" + text, "00" + text, text.translate(ARABIC_INDIC)]))
+        if len(text) > 1 and text[-1].isdigit() and text[-2].isdigit() and draw(st.booleans()):
+            text = text[:-1] + "_" + text[-1]
+    return draw(st.sampled_from(["", " ", "\t"] + ["  "] * fancy)) + text + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def collections(draw):
+    """Files of a valid collection as lists of lines, with what corruptions need to know."""
+    fancy = draw(st.booleans())
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    node_graph = draw(st.permutations([g + 1 for g, k in enumerate(sizes) for _ in range(k)]))
+    members = [[i + 1 for i, x in enumerate(node_graph) if x == g + 1] for g in range(len(sizes))]
+    edge = st.sampled_from(members).flatmap(lambda m: st.tuples(st.sampled_from(m), st.sampled_from(m)))
+    edges = draw(st.lists(edge, max_size=12))
+    edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=4))] if edges else []
+    separator = st.sampled_from([", ", ",", " ,", "\t,\t"] + [",　"] * fancy)
+    files = {
+        "graph_indicator": [draw(int_text(g, fancy)) for g in node_graph],
+        "graph_labels": [draw(int_text(v, fancy)) for v in draw(st.lists(
+            st.integers(-2, 3) | st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
+            min_size=len(sizes), max_size=len(sizes)))],
+        "A": [draw(int_text(u, fancy)) + draw(separator) + draw(int_text(v, fancy)) for u, v in edges],
+    }
+    kind = draw(st.sampled_from(["attributes", "labels", "both", "degree"]))
+    if kind in ("labels", "both"):
+        files["node_labels"] = [draw(int_text(v, fancy)) for v in draw(st.lists(
+            st.integers(-3, 3), min_size=len(node_graph), max_size=len(node_graph)))]
+    if kind in ("attributes", "both"):
+        width = draw(st.integers(1, 3))
+        value = st.floats(width=64).map(repr) | st.sampled_from(["1", " .5", "-0.0", "1e308", "nan", "-inf", "2_5.0"])
+        files["node_attributes"] = [
+            draw(separator).join(draw(st.lists(value, min_size=width, max_size=width))) for _ in node_graph]
+    # Blank lines anywhere, of any whitespace.
+    blank = st.sampled_from(["", "  ", "\t"] + ["　", "  "] * fancy)
+    for suffix, lines in files.items():
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(blank))
+    return {"files": files, "members": members, "fancy": fancy}
+
+
+def write_collection(root: Path, name: str, files: dict, newline: str = "\n", final: bool = True) -> None:
+    d = root / name
+    d.mkdir(parents=True)
+    for suffix, lines in files.items():
+        text = newline.join(lines) + (newline if final else "")
+        (d / f"{name}_{suffix}.txt").write_bytes(text.encode())
+
+
+@given(collection=collections(), newline=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_bulk_loader_matches_the_oracle_on_valid_collections(collection, newline, final):
+    with tempfile.TemporaryDirectory() as root:
+        write_collection(Path(root), "C", collection["files"], newline, final)
+        expected = assert_same_outcome(Path(root), "C")
+    assert expected[0] == "C", expected
+
+
+def _nonblank(lines):
+    return [i for i, line in enumerate(lines) if line.strip()]
+
+
+@st.composite
+def corrupted(draw):
+    """A valid collection with one corruption the oracle rejects, and the corruption's name."""
+    collection = draw(collections())
+    files = {k: list(v) for k, v in collection["files"].items()}
+    members = collection["members"]
+    n_nodes = sum(len(m) for m in members)
+    kinds = ["bad token", "non-positive graph id", "surplus entry", "missing entry", "overflow"]
+    if _nonblank(files["A"]):
+        kinds += ["missing comma", "extra comma", "out-of-range id"] * 2
+    if len(members) >= 2:
+        kinds += ["cross-graph edge", "skipped graph id"]
+    if len(members) >= 2 or len(members[0]) >= 2:
+        kinds += ["ragged attribute row"] * ("node_attributes" in files)
+    kind = draw(st.sampled_from(kinds))
+
+    def pick(suffix):
+        lines = files[suffix]
+        return lines, draw(st.sampled_from(_nonblank(lines)))
+
+    if kind == "bad token":
+        suffix = draw(st.sampled_from([k for k in sorted(files) if _nonblank(files[k])
+                                       and not (k == "node_labels" and "node_attributes" in files)]))
+        lines, i = pick(suffix)
+        parts = lines[i].split(",")
+        j = draw(st.integers(0, len(parts) - 1))
+        parts[j] = draw(st.sampled_from(["x", "1.0.0", "0x1", "1 2", "−3", "_1"]
+                                        + ([] if suffix == "node_attributes" else ["1.5", "1e3", "nan"])))
+        lines[i] = ",".join(parts)
+    elif kind == "non-positive graph id":
+        lines, i = pick("graph_indicator")
+        lines[i] = draw(st.sampled_from(["0", "-2", " -0 "]))
+    elif kind in ("surplus entry", "missing entry"):
+        # Node labels are not read when there are attributes.
+        feature_file = "node_attributes" if "node_attributes" in files else "node_labels"
+        suffix = draw(st.sampled_from([k for k in ("graph_labels", feature_file) if k in files]))
+        lines, i = pick(suffix)
+        if kind == "surplus entry":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        else:
+            del lines[i]
+    elif kind == "overflow":
+        suffix = draw(st.sampled_from([k for k in ("graph_indicator", "graph_labels", "node_labels", "A")
+                                       if k in files and _nonblank(files[k])
+                                       and not (k == "node_labels" and "node_attributes" in files)]))
+        lines, i = pick(suffix)
+        big = draw(st.sampled_from(["99999999999999999999", "-9223372036854775809", "9223372036854775808"]))
+        lines[i] = big if suffix != "A" else lines[i].split(",")[0] + ", " + big
+    elif kind == "missing comma":
+        lines, i = pick("A")
+        lines[i] = lines[i].replace(",", " ")
+    elif kind == "extra comma":
+        lines, i = pick("A")
+        lines[i] = draw(st.sampled_from(["{},", ",{}", "{},,1", "{}, 1, 2", "{},1,"])).format(lines[i])
+    elif kind == "out-of-range id":
+        lines, i = pick("A")
+        u, v = lines[i].split(",")
+        bad = str(draw(st.sampled_from([0, -1, n_nodes + 1])))
+        lines[i] = draw(st.sampled_from([f"{bad},{v}", f"{u}, {bad}"]))
+    elif kind == "cross-graph edge":
+        g, h = draw(st.permutations(range(len(members))))[:2]
+        files["A"].insert(draw(st.integers(0, len(files["A"]))),
+                          f"{draw(st.sampled_from(members[g]))}, {draw(st.sampled_from(members[h]))}")
+    elif kind == "skipped graph id":
+        # Every node of graph k moves to a new last graph, which gets a label.
+        moved, node = set(members[draw(st.integers(0, len(members) - 2))]), 0
+        for i, line in enumerate(files["graph_indicator"]):
+            if line.strip():
+                node += 1
+                if node in moved:
+                    files["graph_indicator"][i] = str(len(members) + 1)
+        files["graph_labels"].append("0")
+    elif kind == "ragged attribute row":
+        lines, i = pick("node_attributes")
+        parts = lines[i].split(",")
+        lines[i] = ",".join(parts[:-1]) if len(parts) > 1 else lines[i] + ", 1.0"
+    return files, kind
+
+
+@given(case=corrupted(), newline=st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=200, deadline=None)
+def test_bulk_loader_raises_the_oracle_error_on_each_corruption(case, newline):
+    files, kind = case
+    event(kind)
+    with tempfile.TemporaryDirectory() as root:
+        write_collection(Path(root), "C", files, newline)
+        expected = assert_same_outcome(Path(root), "C")
+    assert expected[0] is TUFormatError, (kind, expected)
+    event(re.sub(r"[-\d'].*", "", expected[1].split(": ", 1)[1]))
+
+
+@st.composite
+def datasets(draw):
+    n_classes = draw(st.integers(1, 3))
+    graphs = []
+    for g in range(draw(st.integers(n_classes, 5))):
+        n = draw(st.integers(1, 6))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges = draw(st.lists(pairs, max_size=10)) if n > 1 else []
+        width = 2
+        features = np.array(draw(st.lists(st.floats(allow_nan=False, width=64), min_size=n * width,
+                                          max_size=n * width))).reshape(n, width)
+        graphs.append(graph_from_edges(n, edges, features=features, label=g % n_classes))
+    return Dataset(name="RT", graphs=graphs, n_classes=n_classes)
+
+
+@given(dataset=datasets())
+@settings(max_examples=60, deadline=None)
+def test_write_then_load_gives_back_the_same_bits(dataset):
+    with tempfile.TemporaryDirectory() as root:
+        write_tu_dataset(dataset, root)
+        reloaded = load_tu_dataset(root, "RT")
+    assert reloaded.n_classes == dataset.n_classes
+    for a, b in zip(dataset.graphs, reloaded.graphs, strict=True):
+        assert a.label == b.label
+        for x, y in ((a.adjacency.rows, b.adjacency.rows), (a.adjacency.cols, b.adjacency.cols),
+                     (a.adjacency.values, b.adjacency.values), (a.features.data, b.features.data)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from asap_pool.graphs import (
     random_tree_edges,
 )
 from asap_pool.engine import SparseMatrix, Tensor
+from _tu_oracle import graph_from_edges as oracle_graph_from_edges
 
 
 def bfs_oracle(n, edge_list, directed=False):
@@ -89,7 +90,49 @@ def test_graph_invariants_rejected():
     with pytest.raises(ValueError):  # stored diagonal
         Graph(SparseMatrix((2, 2), [0, 1], [0, 1], [1.0, 1.0]), Tensor(np.zeros((2, 1))))
     with pytest.raises(ValueError):  # feature row count
-        Graph(SparseMatrix.empty((2, 2)), Tensor(np.zeros((3, 1))))
+        Graph(SparseMatrix((2, 2), [], [], []), Tensor(np.zeros((3, 1))))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, values, message",
+    [
+        ([0, 0], [1, 2], [1.0, 1.0], "adjacency pattern must be symmetric"),
+        ([0, 1], [1, 0], [1.0, 2.0], "adjacency weights must be symmetric"),
+        ([0, 1], [1, 0], [np.nan, np.nan], "adjacency weights must be symmetric"),
+        ([0, 2], [2, 0], [np.inf, 1.0], "adjacency weights must be symmetric"),
+    ],
+)
+def test_graph_rejects_asymmetry_and_nan_weights(rows, cols, values, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(SparseMatrix.from_coo((3, 3), rows, cols, values), Tensor(np.zeros((3, 1))))
+    assert str(exc.value) == message
+
+
+def test_graph_accepts_infinite_and_signed_zero_weights_that_mirror():
+    for values in ([np.inf, np.inf], [0.0, -0.0]):
+        g = Graph(SparseMatrix.from_coo((2, 2), [0, 1], [1, 0], values), Tensor(np.zeros((2, 1))))
+        assert g.n_edges == 1
+
+
+def _built(build, *args, **kwargs):
+    """A graph's raw arrays, or the type and text of the error building it raised."""
+    try:
+        g = build(*args, **kwargs)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    a = g.adjacency
+    return a.shape, a.rows.dtype, a.values.dtype, a.rows.tobytes(), a.cols.tobytes(), a.values.tobytes(), \
+        g.features.data.tobytes(), g.label
+
+
+@given(n=st.integers(0, 6), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_graph_from_edges_matches_the_dict_oracle(n, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=14))
+    weights = data.draw(st.none() | st.lists(
+        st.floats(0.0, 4.0) | st.sampled_from([0.0, np.inf, np.nan]), min_size=len(edges), max_size=len(edges)))
+    got = _built(graph_from_edges, n, edges, weights=weights, label=1)
+    assert got == _built(oracle_graph_from_edges, n, edges, weights=weights, label=1)
 
 
 def test_dataset_validates_labels_and_feature_dim():

@@ -81,9 +81,9 @@ def test_out_of_bounds_entries_rejected():
 
 
 def test_identity_and_empty():
-    eye = sparse_add_identity(SparseMatrix.empty((3, 3)))
+    eye = sparse_add_identity(SparseMatrix((3, 3), [], [], []))
     np.testing.assert_allclose(eye.to_dense(), np.eye(3))
-    empty = SparseMatrix.empty((2, 4))
+    empty = SparseMatrix((2, 4), [], [], [])
     assert empty.rows.size == 0
     np.testing.assert_allclose(empty.to_dense(), np.zeros((2, 4)))
 
@@ -138,7 +138,7 @@ def test_csr_empty_rows_and_no_entries():
     # Rows 0, 2 and the trailing rows 4-5 are empty.
     s = SparseMatrix.from_coo((6, 4), [1, 1, 3], [0, 3, 2], [1.0, 2.0, 3.0])
     assert s.csr().indptr.tolist() == [0, 0, 2, 2, 3, 3, 3]
-    for m in (s, SparseMatrix.empty((3, 5)), SparseMatrix.empty((0, 2))):
+    for m in (s, SparseMatrix((3, 5), [], [], []), SparseMatrix((0, 2), [], [], [])):
         assert_csr_identical(m.csr(), sp.csr_matrix((m.values, (m.rows, m.cols)), shape=m.shape))
 
 
@@ -160,6 +160,22 @@ def test_csr_uses_wide_indices_when_shape_needs_them():
     s = SparseMatrix((3, wide), [0, 2], [5, wide - 1], [1.0, 2.0])
     assert s.csr().indices.dtype == np.int64
     assert_csr_identical(s.csr(), sp.csr_matrix((s.values, (s.rows, s.cols)), shape=s.shape))
+
+
+def test_csr_shares_no_array_with_the_matrix():
+    # One stored 0.0: scipy's in-place eliminate_zeros must not rewrite this pattern.
+    s = SparseMatrix((2, 3), [0, 0, 1], [0, 2, 1], [1.0, 0.0, 2.0])
+    m = s.csr()
+    m.eliminate_zeros()
+    m.data[:] = 7.0
+    assert m.nnz == 2
+    indices, indptr = s.csr_index()
+    assert s.nnz == 3 == indptr[-1] == indices.shape[0]
+    assert indptr.tolist() == [0, 2, 3]
+    assert indices.tolist() == s.cols.tolist() == [0, 2, 1]
+    assert s.values.tolist() == [1.0, 0.0, 2.0]
+    assert s.csr().nnz == 3
+    assert s._csr is None
 
 
 def test_spspmm_gradient_is_dense_product_sampled_on_each_pattern():
@@ -248,7 +264,7 @@ def test_spspmm_drops_a_sum_that_cancels_to_zero_and_handles_an_empty_product():
 
 def test_spspmm_shape_mismatch():
     with pytest.raises(EngineError):
-        spspmm(SparseMatrix.empty((3, 3)), SparseMatrix.empty((4, 4)))
+        spspmm(SparseMatrix((3, 3), [], [], []), SparseMatrix((4, 4), [], [], []))
 
 
 # ---------------------------------------------------------------------------
