@@ -17,9 +17,11 @@ file's tokens (it accepts what ``int()``/``float()`` accept), and
 ``graphs.adjacency_blocks`` builds every graph's adjacency from one sort.
 A malformed file raises :class:`TUFormatError` as ``path:line: message``
 for the first line at fault, found in bulk and then described by the
-line-by-line check. The files are checked in turn (indicator, graph labels,
-edges, node features), then graph ids for empty graphs; an integer outside
-int64 in the indicator or a label file is a bad value.
+line-by-line check; a token that does not convert is found by that check
+alone, run on every line in file order. The files are checked in turn
+(indicator, graph labels, edges, node features), then graph ids for empty
+graphs; an integer outside int64 in the indicator or a label file is a bad
+value.
 """
 
 from __future__ import annotations
@@ -82,12 +84,12 @@ KNOWN_DATASET_STATS: dict[str, DatasetStats] = {
 }
 
 _NAME_ALIASES = {"D&D": "DD"}
+# Largest accepted gap between a dataset's mean and the published one.
+_MEAN_TOLERANCE = 0.01
 
 _OTHER_SPACE = re.compile(r"[^\S\n]")
 _TAB, _NEWLINE, _SPACE, _COMMA = (ord(c) for c in "\t\n ,")
 _INT64 = np.iinfo(np.int64)
-# Tokens converted per call while looking for the first one that fails.
-_CHUNK = 4096
 
 
 class _Scan:
@@ -176,18 +178,20 @@ class _Scan:
     def values(self, dtype, check, bad_rows=None, bad_value=None) -> np.ndarray:
         """Every token converted by one ``np.array`` call, once no line fails ``check``.
 
-        The lines checked are the ragged ones, those ``bad_rows`` flags, those
-        holding a value ``bad_value`` flags, and every line from the first
-        token that does not convert on. ``np.array`` of a ``str`` accepts and
+        The lines checked are the ragged ones, those ``bad_rows`` flags and
+        those holding a value ``bad_value`` flags; when some token does not
+        convert, every line is. ``np.array`` of a ``str`` accepts and
         rejects what ``int()``/``float()`` do, and also rejects an int
         outside int64.
         """
+        try:
+            values = np.array(self.tokens, dtype=dtype)
+        except (ValueError, OverflowError):
+            self.raise_first(np.ones(len(self), dtype=bool), check)
+            raise
         bad = self.ragged.copy()
         if bad_rows is not None:
             bad |= bad_rows
-        values = _converted_prefix(self.tokens, dtype)
-        if values.shape[0] < len(self.tokens):
-            bad[self.token_row[values.shape[0]]:] = True
         if bad_value is not None:
             bad[self.token_row[np.flatnonzero(bad_value(values))]] = True
         self.raise_first(bad, check)
@@ -196,25 +200,6 @@ class _Scan:
     def ints(self, what: str) -> np.ndarray:
         """One int64 per line."""
         return self.values(np.int64, lambda path, i, line: _parse_int(path, i, line, what, int64=True))
-
-
-def _converts(tokens: list[str], dtype) -> bool:
-    try:
-        np.array(tokens, dtype=dtype)
-    except (ValueError, OverflowError):
-        return False
-    return True
-
-
-def _converted_prefix(tokens: list[str], dtype) -> np.ndarray:
-    """``tokens`` as one array, or as many of them as come before the first that fails to convert."""
-    try:
-        return np.array(tokens, dtype=dtype)
-    except (ValueError, OverflowError):
-        pass
-    lo = next(lo for lo in range(0, len(tokens), _CHUNK) if not _converts(tokens[lo : lo + _CHUNK], dtype))
-    first = next(k for k in range(lo, lo + _CHUNK) if not _converts(tokens[k : k + 1], dtype))
-    return np.array(tokens[:first], dtype=dtype)
 
 
 def _parse_int(path, line_no, text, what, int64: bool = False) -> int:
@@ -370,11 +355,12 @@ def dataset_stats(dataset: Dataset) -> DatasetStats:
     )
 
 
-def check_stats(dataset: Dataset, name: str | None = None, mean_tolerance: float = 0.01):
+def check_stats(dataset: Dataset, name: str | None = None):
     """Compare a dataset against its published statistics.
 
     Returns ``(all_ok, checks)``; graph and class counts must match exactly,
-    means within ``mean_tolerance``. Unknown names raise ``KeyError``.
+    means within ``_MEAN_TOLERANCE``, the published figures' rounding.
+    Unknown names raise ``KeyError``.
     """
     key = _NAME_ALIASES.get(name or dataset.name, name or dataset.name)
     expected = KNOWN_DATASET_STATS[key]
@@ -385,13 +371,13 @@ def check_stats(dataset: Dataset, name: str | None = None, mean_tolerance: float
             "mean_nodes",
             expected.mean_nodes,
             actual.mean_nodes,
-            abs(actual.mean_nodes - expected.mean_nodes) <= mean_tolerance + 1e-12,
+            abs(actual.mean_nodes - expected.mean_nodes) <= _MEAN_TOLERANCE + 1e-12,
         ),
         StatCheck(
             "mean_edges",
             expected.mean_edges,
             actual.mean_edges,
-            abs(actual.mean_edges - expected.mean_edges) <= mean_tolerance + 1e-12,
+            abs(actual.mean_edges - expected.mean_edges) <= _MEAN_TOLERANCE + 1e-12,
         ),
         StatCheck("n_classes", expected.n_classes, actual.n_classes, actual.n_classes == expected.n_classes),
     ]

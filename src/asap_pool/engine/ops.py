@@ -37,6 +37,8 @@ __all__ = [
 # When true, every op asserts its output is finite; enabled by the test suite.
 DEBUG_CHECKS = False
 
+_NEGATIVE_SLOPE = 0.2
+
 
 def _out(arr: np.ndarray) -> Tensor:
     if DEBUG_CHECKS and not np.all(np.isfinite(arr)):
@@ -124,20 +126,17 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    """Elementwise ``x if x > 0 else slope * x``, for ``0 < slope < 1``.
+def leaky_relu(x: Tensor) -> Tensor:
+    """Elementwise ``x if x > 0 else 0.2 * x``, the slope of GAT's attention scorer.
 
-    Computed as ``max(x, slope * x)``, which for such a slope gives the same
-    bits, signed zeros and subnormals included, without a select.
+    Computed as ``max(x, 0.2 * x)``, which for a slope between 0 and 1 gives
+    the same bits, signed zeros and subnormals included, without a select.
     """
-    slope = float(negative_slope)
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu needs 0 < negative_slope < 1, got {negative_slope}")
-    scaled = slope * x.data
+    scaled = _NEGATIVE_SLOPE * x.data
     out = _out(np.maximum(x.data, scaled, out=scaled))
 
     def backward(grad, accumulate):
-        accumulate(x, grad * np.where(x.data > 0.0, 1.0, slope))
+        accumulate(x, grad * np.where(x.data > 0.0, 1.0, _NEGATIVE_SLOPE))
 
     record(out, (x,), backward)
     return out
@@ -199,8 +198,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _segment_layout(segment_ids, n_rows: int, n_segments: int | None):
-    """Validate sorted segment ids and return (ids, n_segments, counts, starts)."""
+def _segment_layout(segment_ids, n_rows: int, n_segments: int):
+    """Validate sorted segment ids below ``n_segments`` and return (ids, counts, starts)."""
     seg = np.asarray(segment_ids, dtype=np.int64).ravel()
     if seg.shape[0] != n_rows:
         raise ShapeError(f"segment ids cover {seg.shape[0]} rows, tensor has {n_rows}")
@@ -209,17 +208,13 @@ def _segment_layout(segment_ids, n_rows: int, n_segments: int | None):
             raise EngineError("negative segment id")
         if np.any(np.diff(seg) < 0):
             raise EngineError("segment ids must be sorted non-decreasing")
-    inferred = int(seg.max()) + 1 if seg.size else 0
-    if n_segments is None:
-        n_segments = inferred
-    elif inferred > n_segments:
-        raise EngineError(f"segment id {inferred - 1} outside {n_segments} segments")
-    counts = np.bincount(seg, minlength=n_segments) if n_segments else np.zeros(0, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1])) if n_segments else np.zeros(0, dtype=np.int64)
-    return seg, n_segments, counts, starts
+        if seg[-1] >= n_segments:
+            raise EngineError(f"segment id {seg[-1]} outside {n_segments} segments")
+    counts = np.bincount(seg, minlength=n_segments)
+    return seg, counts, np.cumsum(counts) - counts
 
 
-def segment_reduce(kind: str, x: Tensor, segment_ids, n_segments: int | None = None) -> Tensor:
+def segment_reduce(kind: str, x: Tensor, segment_ids, n_segments: int) -> Tensor:
     """Per-segment ``mean``/``max`` over rows of ``x``; every segment must be non-empty.
 
     Returns one row per segment. ``max`` routes its gradient to the lowest
@@ -228,7 +223,7 @@ def segment_reduce(kind: str, x: Tensor, segment_ids, n_segments: int | None = N
     """
     if kind not in ("mean", "max"):
         raise ValueError(f"unknown segment_reduce kind {kind!r}")
-    seg, n_segments, counts, starts = _segment_layout(segment_ids, x.data.shape[0], n_segments)
+    seg, counts, starts = _segment_layout(segment_ids, x.data.shape[0], n_segments)
     if np.any(counts == 0):
         raise EngineError(f"segment_reduce {kind} over an empty segment")
     data = x.data
@@ -266,7 +261,7 @@ def segment_reduce(kind: str, x: Tensor, segment_ids, n_segments: int | None = N
     return out
 
 
-def segment_softmax(scores: Tensor, segment_ids, n_segments: int | None = None) -> Tensor:
+def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     """Softmax of a column of scores within each segment.
 
     Stabilized by subtracting the per-segment maximum; every segment must be
@@ -274,7 +269,7 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int | None = None) 
     """
     if scores.data.shape[1] != 1:
         raise ShapeError("segment_softmax expects an nx1 score column")
-    seg, n_segments, counts, starts = _segment_layout(segment_ids, scores.data.shape[0], n_segments)
+    seg, counts, starts = _segment_layout(segment_ids, scores.data.shape[0], n_segments)
     if np.any(counts == 0):
         raise EngineError("segment_softmax over an empty segment")
     s = scores.data[:, 0]

@@ -10,7 +10,10 @@ Sparse × dense and sparse × sparse products call scipy's compiled CSR
 kernels (``_sparsetools``) on each operand's CSR index: its own int64
 ``cols`` and a cached ``indptr``. The pattern bookkeeping (selection,
 transposes, unions) is done here so gradients can be routed
-entry-for-entry.
+entry-for-entry. Only the public constructors validate a pattern; an op
+builds its output's pattern canonical and skips that scan unless
+``ops.DEBUG_CHECKS`` is on, and ``sparse_make(pattern, values)`` puts taped
+values on an existing matrix's pattern, sharing its arrays and CSR index.
 """
 
 from __future__ import annotations
@@ -235,12 +238,12 @@ def _compressed_times_dense(kernel, shape, indptr, indices, values, dense: np.nd
     return out
 
 
-def _sparse_out(shape, rows, cols, values, canonical: bool = True) -> SparseMatrix:
-    """An op's output; a pattern the op built ``canonical`` is scanned only under ``ops.DEBUG_CHECKS``."""
-    if ops.DEBUG_CHECKS and not np.all(np.isfinite(values)):
-        raise EngineError("non-finite values produced by a sparse operation")
-    if canonical and not ops.DEBUG_CHECKS:
+def _sparse_out(shape, rows, cols, values) -> SparseMatrix:
+    """An op's output on a canonical pattern the op built, scanned only under ``ops.DEBUG_CHECKS``."""
+    if not ops.DEBUG_CHECKS:
         return SparseMatrix._canonical(shape, rows, cols, values)
+    if not np.all(np.isfinite(values)):
+        raise EngineError("non-finite values produced by a sparse operation")
     return SparseMatrix(shape, rows, cols, values)
 
 
@@ -296,13 +299,16 @@ def spspmm(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return out
 
 
-def sparse_make(shape, rows, cols, values: Tensor) -> SparseMatrix:
-    """Assemble a sparse matrix whose values come from an ``nnz x 1`` tensor."""
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
-    if values.data.shape != (rows.shape[0], 1):
-        raise ShapeError(f"values must be {rows.shape[0]}x1, got {values.data.shape}")
-    out = _sparse_out(shape, rows, cols, values.data[:, 0].copy(), canonical=False)
+def sparse_make(pattern: SparseMatrix, values: Tensor) -> SparseMatrix:
+    """A matrix on ``pattern``'s pattern whose values come from an ``nnz x 1`` tensor.
+
+    The result shares ``pattern``'s ``rows``, ``cols`` and CSR index, which
+    a canonical pattern guarantees are valid, so none is scanned again.
+    """
+    if values.data.shape != (pattern.nnz, 1):
+        raise ShapeError(f"values must be {pattern.nnz}x1, got {values.data.shape}")
+    out = _sparse_out(pattern.shape, pattern.rows, pattern.cols, values.data[:, 0].copy())
+    out._index = pattern.csr_index()
 
     def backward(grad, accumulate):
         accumulate(values, grad[:, None])

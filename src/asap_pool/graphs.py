@@ -6,13 +6,16 @@ class label. Batches stack graphs block-diagonally so the whole pipeline runs
 on one adjacency; ``node_graph_ids`` (sorted, contiguous) maps rows back to
 graphs for segment reductions.
 
-Structural helpers here are shared by the layers, the pooling operator and the
-verification lab: symmetric renormalization (the engine's taped
-``normalize_gcn``, exported from here), h-hop neighborhood patterns, graph
-powers, breadth-first distances, permutation relabeling and Prüfer sequence
-decoding for random trees. Distances come from one breadth-first search from
-every source at once, each step one call to scipy's compiled sparse-times-dense
-kernel on the adjacency's cached CSR index, with no scipy matrix built.
+Graphs built from edge lists (``graph_from_edges``, ``adjacency_blocks``)
+have unit weights. Structural helpers here are shared by the layers, the
+pooling operator and the verification lab: symmetric renormalization (the
+engine's taped ``normalize_gcn``, exported from here), h-hop neighborhood
+patterns, graph powers, breadth-first distances, permutation relabeling and
+Prüfer sequence decoding for random trees. None builds a scipy matrix: the
+h-hop patterns and graph powers take each hop as one call to scipy's compiled
+sparse-times-sparse kernels (the engine's ``_csr_product``), and distances
+come from one breadth-first search from every source at once, each step one
+call to its sparse-times-dense kernel, both on the adjacency's CSR index.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .engine import SparseMatrix, Tensor, normalize_gcn
+from .engine.sparse import _csr_product, _identity_merge
 
 __all__ = [
     "Graph",
@@ -113,9 +116,6 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.graphs[0].feature_dim
 
-    def labels(self) -> np.ndarray:
-        return np.array([g.label for g in self.graphs], dtype=np.int64)
-
 
 @dataclass
 class GraphBatch:
@@ -132,29 +132,23 @@ class GraphBatch:
         return self.adjacency.shape[0]
 
 
-def adjacency_blocks(sizes, heads, tails, weights=None) -> list[SparseMatrix]:
-    """Each graph's symmetric adjacency, from undirected edges numbered across all graphs.
+def adjacency_blocks(sizes, heads, tails) -> list[SparseMatrix]:
+    """Each graph's symmetric unit-weight adjacency, from undirected edges numbered across all graphs.
 
     Graph ``g`` holds nodes ``offsets[g]`` to ``offsets[g + 1] - 1``, with
     ``offsets`` the running sum of ``sizes``; each edge ``(heads[k],
     tails[k])`` joins two distinct nodes of one graph. One ``np.unique``
-    dedupes the edges, the last weight winning (unit weights by default);
-    one sort of the mirrored entries puts every graph's pattern in
-    row-major order, and each graph gets its slice, renumbered from 0.
+    dedupes the edges, one sort of the mirrored entries puts every graph's
+    pattern in row-major order, and each graph gets its slice, renumbered
+    from 0.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     span = max(int(offsets[-1]), 1)
-    lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
-    weights = np.ones(lo.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
-    # The first of each key in the reversed list is the last one given.
-    keys, last = np.unique((lo * span + hi)[::-1], return_index=True)
-    entries = np.concatenate((keys, keys % span * span + keys // span))
-    order = np.argsort(entries)
-    entries = entries[order]
-    kept = weights[::-1][last]
-    values = np.concatenate((kept, kept))[order]
+    keys = np.unique(np.minimum(heads, tails) * span + np.maximum(heads, tails))
+    entries = np.sort(np.concatenate((keys, keys % span * span + keys // span)))
+    values = np.ones(entries.shape[0])
     rows, cols = entries // span, entries % span
     bounds = np.searchsorted(rows, offsets)
     first = np.repeat(offsets[:-1], bounds[1:] - bounds[:-1])
@@ -167,12 +161,11 @@ def adjacency_blocks(sizes, heads, tails, weights=None) -> list[SparseMatrix]:
     ]
 
 
-def graph_from_edges(n_nodes: int, edges, features=None, label=None, weights=None) -> Graph:
-    """Build a graph from undirected edge pairs (deduplicated, symmetrized).
+def graph_from_edges(n_nodes: int, edges, features=None, label=None) -> Graph:
+    """Build a unit-weight graph from undirected edge pairs (deduplicated, symmetrized).
 
     ``edges`` is an iterable of ``(u, v)`` pairs; self loops are rejected.
-    A repeated edge keeps its last weight. ``features`` defaults to a
-    constant-one column.
+    ``features`` defaults to a constant-one column.
     """
     pairs = np.array(list(edges), dtype=np.int64)
     if pairs.size == 0:
@@ -186,11 +179,7 @@ def graph_from_edges(n_nodes: int, edges, features=None, label=None, weights=Non
         if u[k] == v[k]:
             raise ValueError(f"self loop on node {u[k]}")
         raise ValueError(f"edge ({u[k]}, {v[k]}) outside {n_nodes} nodes")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)[: u.shape[0]]
-        if weights.shape[0] < u.shape[0]:
-            raise IndexError(f"{u.shape[0]} edges but {weights.shape[0]} weights")
-    (adjacency,) = adjacency_blocks([n_nodes], u, v, weights)
+    (adjacency,) = adjacency_blocks([n_nodes], u, v)
     if features is None:
         features = np.ones((n_nodes, 1))
     return Graph(adjacency=adjacency, features=Tensor(features), label=label)
@@ -237,19 +226,22 @@ def permute_graph(g: Graph, perm) -> Graph:
 
 
 def _reach_pattern(a: SparseMatrix, steps: int) -> SparseMatrix:
-    """Pattern of node pairs within ``steps`` hops (self included), as 1.0 entries."""
+    """Pattern of node pairs within ``steps`` hops (self included), as 1.0 entries.
+
+    Every stored entry of ``a`` is an edge. Each step is one compiled CSR
+    product by the unit-valued pattern of ``A + I``, whose result has its
+    values reset to 1.0; all of them are positive, so none is dropped.
+    """
     n = a.shape[0]
-    indices, indptr = a.csr_index()
-    base = sp.csr_matrix((np.ones(a.nnz, dtype=bool), indices, indptr), shape=a.shape)
-    base = base + sp.identity(n, dtype=bool, format="csr")
-    reach = base
+    rows, cols, _, _ = _identity_merge(a)
+    base = SparseMatrix._canonical(a.shape, rows, cols, np.ones(rows.shape[0]))
+    index = base_index = base.csr_index()
+    values = base.values
     for _ in range(steps - 1):
-        reach = (reach @ base).astype(bool)
-    reach = reach.tocsr()
-    reach.sum_duplicates()
-    reach.sort_indices()
-    coo = reach.tocoo()
-    return SparseMatrix((n, n), coo.row, coo.col, np.ones(coo.nnz))
+        index, values = _csr_product(n, n, index, values, base_index, base.values)
+        values = np.ones(values.shape[0])
+    indices, indptr = index
+    return SparseMatrix((n, n), np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)), indices, values)
 
 
 def h_hop_membership(a: SparseMatrix, h: int) -> SparseMatrix:

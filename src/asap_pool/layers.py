@@ -15,13 +15,14 @@ dataclasses, so the same code runs per graph or on block-diagonal batches.
   in three flavors: query-free (``S2T``), transformed-query against raw
   member representations (``T2T`` uses the cluster medoid's own
   representation as query, ``M2T`` a pooled master vector). The LeakyReLU
-  acts entry by entry, so ``w^T lrelu([W q_i ‖ x_j])`` splits into a
-  per-cluster term plus a per-member term (the split GAT uses to score
-  edges). Both terms are computed once per node and only two ``n x 1``
-  columns are gathered per pair, instead of building a ``pairs x 2d``
-  matrix. The per-cluster term cancels in the per-cluster softmax, so the
-  pool runs ``M2T`` with the medoid query and ``M2T`` cannot differ from
-  ``T2T`` beyond rounding (Brody et al., GATv2, arXiv:2105.14491).
+  has GAT's fixed negative slope, 0.2, and acts entry by entry, so
+  ``w^T lrelu([W q_i ‖ x_j])`` splits into a per-cluster term plus a
+  per-member term (the split GAT uses to score edges). Both terms are
+  computed once per node and only two ``n x 1`` columns are gathered per
+  pair, instead of building a ``pairs x 2d`` matrix. The per-cluster term
+  cancels in the per-cluster softmax, so the pool runs ``M2T`` with the
+  medoid query and ``M2T`` cannot differ from ``T2T`` beyond rounding
+  (Brody et al., GATv2, arXiv:2105.14491).
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ __all__ = [
 ]
 
 ATTENTION_KINDS = ("M2T", "T2T", "S2T")
-
-# Fixed negative slope of the scorer nonlinearity.
-_ATTENTION_SLOPE = 0.2
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
@@ -184,7 +182,7 @@ def attention_scores(
             raise IndexError("pair references a node outside the representation matrix")
 
     if params.kind == "S2T":
-        keys = leaky_relu(matmul(candidates, params.weight), _ATTENTION_SLOPE)
+        keys = leaky_relu(matmul(candidates, params.weight))
         return gather_rows(matmul(keys, params.score), member_ids)
 
     if queries is None:
@@ -192,11 +190,6 @@ def attention_scores(
     if queries.data.shape != candidates.data.shape:
         raise ValueError("queries must align with candidates row-for-row")
     d = params.weight.data.shape[0]
-    per_cluster = matmul(
-        leaky_relu(matmul(queries, params.weight), _ATTENTION_SLOPE),
-        gather_rows(params.score, np.arange(d)),
-    )
-    per_member = matmul(
-        leaky_relu(candidates, _ATTENTION_SLOPE), gather_rows(params.score, np.arange(d, 2 * d))
-    )
+    per_cluster = matmul(leaky_relu(matmul(queries, params.weight)), gather_rows(params.score, np.arange(d)))
+    per_member = matmul(leaky_relu(candidates), gather_rows(params.score, np.arange(d, 2 * d)))
     return add(gather_rows(per_cluster, cluster_ids), gather_rows(per_member, member_ids))

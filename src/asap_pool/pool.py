@@ -62,6 +62,7 @@ from .layers import (
     GCNParams,
     LEConvParams,
     attention_scores,
+    basic_leconv_forward,
     gcn_forward,
     leconv_forward,
 )
@@ -164,18 +165,18 @@ def form_clusters(x: Tensor, a: SparseMatrix, a_norm: SparseMatrix, params: Pool
     ``i`` (rows sum to one) and ``pairs`` is its ``(cluster_ids,
     member_ids)`` pattern.
     """
-    n = a.shape[0]
     # The 1-hop balls (self included) are exactly the pattern of A + I,
     # which the renormalized adjacency already stores.
-    layout = ClusterLayout(a_norm if config.h == 1 else h_hop_membership(a, config.h))
+    pattern = a_norm if config.h == 1 else h_hop_membership(a, config.h)
+    layout = ClusterLayout(pattern)
     cluster_ids, member_ids = layout.cluster_ids, layout.member_ids
 
     transformed = gcn_forward(x, a_norm, params.intra_gcn)
     queries = None if config.attention == "S2T" else transformed
     logits = attention_scores(params.attention, transformed, cluster_ids, member_ids, queries)
-    weights = segment_softmax(logits, cluster_ids, n)
+    weights = segment_softmax(logits, cluster_ids, a.shape[0])
     clusters = cluster_sum(layout, weights, x) if config.aggregation != "None" else None
-    membership = sparse_make((n, n), cluster_ids, member_ids, weights)
+    membership = sparse_make(pattern, weights)
     return clusters, membership, (cluster_ids, member_ids)
 
 
@@ -186,7 +187,7 @@ def score_clusters(
     if config.fitness == "LEConv":
         return leconv_forward(x, a, params.fitness, activation=sigmoid)
     if config.fitness == "BasicLEConv":
-        return leconv_forward(x, a, LEConvParams.tied(params.fitness.weight), activation=sigmoid)
+        return basic_leconv_forward(x, a, params.fitness.weight, activation=sigmoid)
     return gcn_forward(x, a_norm, params.fitness, activation=sigmoid)
 
 

@@ -450,22 +450,26 @@ def _min_fitness_gap(values: np.ndarray) -> float:
     return float(np.min(np.diff(ordered)))
 
 
+# Feature columns of each equivariance trial's random graph.
+_TRIAL_FEATURE_DIM = 3
+# Smallest gap between two fitness values of a trial instance.
+_MIN_FITNESS_GAP = 1e-9
+
+
 def verify_equivariance(
     n_trials: int = 100,
     seed: int = 0,
     n_nodes: int = 8,
-    feature_dim: int = 3,
     config: PoolConfig | None = None,
     tolerance: float = 1e-8,
-    min_gap: float = 1e-9,
 ) -> EquivarianceReport:
     """Pool random graphs before and after random relabelings and compare.
 
     Instances are resampled until every pair of fitness values is separated by
-    at least ``min_gap`` (ties make ranking, hence pooling, order-dependent —
-    see :func:`tie_counterexample`). Survivor identities, pooled features,
-    pooled adjacency and per-node fitness must all commute with the
-    relabeling within ``tolerance``.
+    at least ``_MIN_FITNESS_GAP`` (ties make ranking, hence pooling,
+    order-dependent — see :func:`tie_counterexample`). Survivor identities,
+    pooled features, pooled adjacency and per-node fitness must all commute
+    with the relabeling within ``tolerance``.
     """
     config = config or PoolConfig()
     rng = np.random.default_rng(seed)
@@ -476,10 +480,10 @@ def verify_equivariance(
     for trial in range(n_trials):
         graph = params = pooled = None
         for _ in range(64):
-            graph = _random_graph(rng, n_nodes, feature_dim, edge_prob=0.35)
-            params = PoolParams.init(rng, feature_dim, config)
+            graph = _random_graph(rng, n_nodes, _TRIAL_FEATURE_DIM, edge_prob=0.35)
+            params = PoolParams.init(rng, _TRIAL_FEATURE_DIM, config)
             pooled = asap_pool(graph, params, config)
-            if _min_fitness_gap(pooled.fitness.data[:, 0]) >= min_gap:
+            if _min_fitness_gap(pooled.fitness.data[:, 0]) >= _MIN_FITNESS_GAP:
                 break
         else:
             failures.append(f"trial {trial}: no tie-free instance found")

@@ -176,24 +176,19 @@ class FoldDivergence(RuntimeError):
         )
 
 
+# Adam's moment decay rates and denominator offset (Kingma and Ba's defaults).
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with L2 weight decay folded into the gradient.
 
     ``lr`` may be reassigned between steps (the schedule does).
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {name: np.zeros_like(t.data) for name, t in self.params.items()}
@@ -202,8 +197,8 @@ class Adam:
     def step(self, grads: dict[str, np.ndarray | None]) -> None:
         """Apply one update; parameters missing from ``grads`` see only decay."""
         self.step_count += 1
-        bias1 = 1.0 - self.beta1 ** self.step_count
-        bias2 = 1.0 - self.beta2 ** self.step_count
+        bias1 = 1.0 - _BETA1 ** self.step_count
+        bias2 = 1.0 - _BETA2 ** self.step_count
         for name, tensor in self.params.items():
             grad = grads.get(name)
             grad = np.zeros_like(tensor.data) if grad is None else np.asarray(grad)
@@ -211,11 +206,11 @@ class Adam:
                 grad = grad + self.weight_decay * tensor.data
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            tensor.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * grad
+            v *= _BETA2
+            v += (1.0 - _BETA2) * grad * grad
+            tensor.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + _EPS)
 
 
 def kfold_split(n_items: int, n_folds: int, seed: int):

@@ -22,16 +22,15 @@ from asap_pool.graphs import Dataset, Graph
 _INT64 = np.iinfo(np.int64)
 
 
-def graph_from_edges(n_nodes: int, edges, features=None, label=None, weights=None) -> Graph:
+def graph_from_edges(n_nodes: int, edges, features=None, label=None) -> Graph:
     pairs = {}
-    for k, (u, v) in enumerate(edges):
+    for u, v in edges:
         u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"self loop on node {u}")
         if not (0 <= u < n_nodes and 0 <= v < n_nodes):
             raise ValueError(f"edge ({u}, {v}) outside {n_nodes} nodes")
-        w = 1.0 if weights is None else float(weights[k])
-        pairs[(min(u, v), max(u, v))] = w
+        pairs[(min(u, v), max(u, v))] = 1.0
     if pairs:
         keys = sorted(pairs)
         uv = np.array(keys, dtype=np.int64)

@@ -4,6 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -68,10 +69,10 @@ def test_graph_from_edges_rejects_self_loop():
         graph_from_edges(2, [(1, 1)])
 
 
-def test_graph_from_edges_custom_weights_and_features():
+def test_graph_from_edges_unit_weights_and_custom_features():
     feats = np.array([[1.0], [2.0]])
-    g = graph_from_edges(2, [(0, 1)], features=feats, weights=[0.5], label=1)
-    np.testing.assert_allclose(g.adjacency.to_dense(), [[0, 0.5], [0.5, 0]])
+    g = graph_from_edges(2, [(0, 1), (1, 0)], features=feats, label=1)
+    np.testing.assert_array_equal(g.adjacency.to_dense(), [[0, 1.0], [1.0, 0]])
     np.testing.assert_allclose(g.features.data, feats)
     assert g.label == 1
 
@@ -129,10 +130,7 @@ def _built(build, *args, **kwargs):
 @settings(max_examples=100, deadline=None)
 def test_graph_from_edges_matches_the_dict_oracle(n, data):
     edges = data.draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=14))
-    weights = data.draw(st.none() | st.lists(
-        st.floats(0.0, 4.0) | st.sampled_from([0.0, np.inf, np.nan]), min_size=len(edges), max_size=len(edges)))
-    got = _built(graph_from_edges, n, edges, weights=weights, label=1)
-    assert got == _built(oracle_graph_from_edges, n, edges, weights=weights, label=1)
+    assert _built(graph_from_edges, n, edges, label=1) == _built(oracle_graph_from_edges, n, edges, label=1)
 
 
 def test_dataset_validates_labels_and_feature_dim():
@@ -223,15 +221,43 @@ def test_property_bfs_distances_matches_queue_oracle_on_directed_patterns(n, edg
     np.testing.assert_array_equal(dist, bfs_oracle(n, zip(rows.tolist(), cols.tolist()), directed=True))
 
 
+def scipy_reach_oracle(a, steps):
+    """Pattern within ``steps`` hops as scipy's boolean matrix power builds it, with 1.0 entries."""
+    n = a.shape[0]
+    indices, indptr = a.csr_index()
+    base = sp.csr_matrix((np.ones(a.nnz, dtype=bool), indices, indptr), shape=a.shape)
+    base = base + sp.identity(n, dtype=bool, format="csr")
+    reach = base
+    for _ in range(steps - 1):
+        reach = (reach @ base).astype(bool)
+    reach = reach.tocsr()
+    reach.sum_duplicates()
+    reach.sort_indices()
+    coo = reach.tocoo()
+    return SparseMatrix((n, n), coo.row, coo.col, np.ones(coo.nnz))
+
+
+def assert_same_arrays(got, want):
+    assert got.shape == want.shape
+    for part in ("rows", "cols", "values"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), part
+
+
 def test_h_hop_membership_is_distance_ball():
-    rng = np.random.default_rng(42)
-    n = 9
-    g, edges = random_graph(rng, n)
-    dist = bfs_oracle(n, edges)
-    for h in (1, 2, 3):
-        got = h_hop_membership(g.adjacency, h).to_dense() > 0
-        expected = (dist >= 0) & (dist <= h)
-        np.testing.assert_array_equal(got, expected)
+    for seed in range(12):
+        rng = np.random.default_rng(42 + seed)
+        n = int(rng.integers(1, 16))
+        g, edges = random_graph(rng, n, p=rng.uniform(0.05, 0.5))
+        dist = bfs_oracle(n, edges)
+        # A directed pattern with self loops and explicit 0.0 values: every stored entry is an edge.
+        rows, cols = np.nonzero(rng.random((n, n)) < 0.2)
+        directed = SparseMatrix((n, n), rows, cols, np.where(rng.random(rows.size) < 0.5, 0.0, 2.0))
+        for h in (1, 2, 3, 4):
+            membership = h_hop_membership(g.adjacency, h)
+            np.testing.assert_array_equal(membership.to_dense() > 0, (dist >= 0) & (dist <= h))
+            assert_same_arrays(membership, scipy_reach_oracle(g.adjacency, h))
+            assert_same_arrays(h_hop_membership(directed, h), scipy_reach_oracle(directed, h))
 
 
 def test_h_hop_membership_includes_isolated_self():
@@ -251,10 +277,13 @@ def test_graph_power_is_punctured_distance_ball():
     n = 8
     g, edges = random_graph(rng, n)
     dist = bfs_oracle(n, edges)
-    for p in (1, 2, 3):
-        got = graph_power(g.adjacency, p).to_dense() > 0
-        expected = (dist >= 1) & (dist <= p)
-        np.testing.assert_array_equal(got, expected)
+    for p in (1, 2, 3, 4):
+        power = graph_power(g.adjacency, p)
+        np.testing.assert_array_equal(power.to_dense() > 0, (dist >= 1) & (dist <= p))
+        reach = scipy_reach_oracle(g.adjacency, p)
+        off_diagonal = reach.rows != reach.cols
+        assert_same_arrays(power, SparseMatrix(
+            reach.shape, reach.rows[off_diagonal], reach.cols[off_diagonal], reach.values[off_diagonal]))
 
 
 def test_normalize_gcn_matches_dense_formula():

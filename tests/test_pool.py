@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _dense_reference import dense_pool
+from asap_pool import pool as pool_module
 from asap_pool.datasets import synthetic_motif_dataset
 from asap_pool.engine import (
     ClusterLayout,
@@ -338,6 +339,27 @@ def test_one_hop_membership_is_normalized_adjacency_pattern(soft_edges):
         np.testing.assert_array_equal(member_ids, reference.cols)
         pooled = asap_pool_batch(x, a, ids, batch.n_graphs, params, config, a_norm)
         x, a, ids = pooled.features, pooled.adjacency, pooled.node_graph_ids
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_membership_shares_the_cluster_patterns_arrays_and_csr_index(h, monkeypatch):
+    rng = np.random.default_rng(10)
+    batch = batch_graphs([random_connected_graph(rng, n) for n in (6, 9, 1, 7)])
+    a_norm = normalize_gcn(batch.adjacency)
+    patterns = [a_norm]
+
+    def recorded_membership(a, radius):
+        patterns[0] = h_hop_membership(a, radius)
+        return patterns[0]
+
+    monkeypatch.setattr(pool_module, "h_hop_membership", recorded_membership)
+    config = PoolConfig(h=h)
+    params = PoolParams.init(rng, batch.features.data.shape[1], config)
+    _, membership, _ = form_clusters(batch.features, batch.adjacency, a_norm, params, config)
+    pattern = patterns[0]
+    assert (pattern is a_norm) == (h == 1)
+    assert np.shares_memory(membership.rows, pattern.rows) and np.shares_memory(membership.cols, pattern.cols)
+    assert membership.csr_index() is pattern.csr_index()
 
 
 @pytest.mark.parametrize("h", [1, 2])

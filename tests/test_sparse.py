@@ -383,13 +383,12 @@ def test_property_identity_merge_equals_argsort_merge(seed, n, density, diagonal
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_sparse_make_rejects_an_unsorted_pattern(monkeypatch):
-    monkeypatch.setattr(ops, "DEBUG_CHECKS", False)  # sparse_make checks its pattern even so
-    values = Tensor(np.ones((2, 1)))
+def test_constructor_rejects_an_unsorted_pattern_without_debug_checks(monkeypatch):
+    monkeypatch.setattr(ops, "DEBUG_CHECKS", False)  # the public constructor checks its pattern even so
     with pytest.raises(EngineError, match="row-major"):
-        sparse_make((2, 2), [1, 0], [0, 1], values)
+        SparseMatrix((2, 2), [1, 0], [0, 1], [1.0, 1.0])
     with pytest.raises(EngineError, match="duplicate"):
-        sparse_make((2, 2), [0, 0], [1, 1], values)
+        SparseMatrix((2, 2), [0, 0], [1, 1], [1.0, 1.0])
 
 
 def test_op_outputs_are_scanned_only_under_debug_checks(monkeypatch):
@@ -505,10 +504,10 @@ def test_gradient_flows_through_sparse_make():
     weight = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
     def f():
-        s = sparse_make((4, 4), base.rows, base.cols, vals)
+        s = sparse_make(base, vals)
         return reduce_sum(spmm(s, weight))
 
-    made = sparse_make((4, 4), base.rows, base.cols, vals)
+    made = sparse_make(base, vals)
     expected = np.zeros((4, 4))
     expected[base.rows, base.cols] = vals.data[:, 0]
     np.testing.assert_array_equal(made.to_dense(), expected)

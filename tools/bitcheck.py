@@ -11,9 +11,11 @@ A coarsening change is thus checked on the pooled adjacency itself, not only
 through the logits.
 
 The lab's outputs are stored too: for every tree with 3-10 nodes its
-``bfs_distances`` and its ``min_sampling_ratio`` size and witness at reach
-1-4; the ``verify_tree_bounds(n, h=1)`` rows for the same sizes, as
-numerator and denominator arrays; and the ``optimum_nodes`` witnesses of the
+``bfs_distances``, its ``min_sampling_ratio`` size and witness at reach
+1-4, and the ``rows``, ``cols`` and ``values`` of its
+``h_hop_membership(a, h)`` and ``graph_power(a, p)`` for h and p 1-4; the
+``verify_tree_bounds(n, h=1)`` rows for the same sizes, as numerator and
+denominator arrays; and the ``optimum_nodes`` witnesses of the
 paths and balanced starlike trees that acceptance criterion 4 checks:
 
     python3 tools/bitcheck.py --save before.npz     # on one checkout
@@ -93,11 +95,12 @@ def record(batch_size: int) -> dict[str, np.ndarray]:
 def record_lab() -> dict[str, np.ndarray]:
     """Distances, sampling results, tree-bound rows and optimum witnesses of the lab.
 
-    Keys are ``lab/tree<n>.<i>/distances`` and ``lab/tree<n>.<i>/reach<r>.{size,witness}``
-    for the ``i``-th tree ``enumerate_trees(n)`` lists, ``lab/bounds<n>.h1.{numerators,
-    denominators,counts}`` and ``lab/{path,starlike}<n>.h<h>.witness``.
+    Keys are ``lab/tree<n>.<i>/distances``, ``lab/tree<n>.<i>/reach<r>.{size,witness}``
+    and ``lab/tree<n>.<i>/{membership,power}<r>.{rows,cols,values}`` for the ``i``-th
+    tree ``enumerate_trees(n)`` lists, ``lab/bounds<n>.h1.{numerators,denominators,counts}``
+    and ``lab/{path,starlike}<n>.h<h>.witness``.
     """
-    from asap_pool.graphs import bfs_distances, graph_from_edges
+    from asap_pool.graphs import bfs_distances, graph_from_edges, graph_power, h_hop_membership
     from asap_pool.theory import (
         balanced_starlike_tree, enumerate_trees, min_sampling_ratio, optimum_nodes, path_graph, verify_tree_bounds,
     )
@@ -111,6 +114,10 @@ def record_lab() -> dict[str, np.ndarray]:
                 result = min_sampling_ratio(a, reach)
                 out[f"lab/tree{n}.{i}/reach{reach}.size"] = np.array(result.max_spread_size)
                 out[f"lab/tree{n}.{i}/reach{reach}.witness"] = np.array(result.spread_witness, dtype=np.int64)
+                for kind, build in (("membership", h_hop_membership), ("power", graph_power)):
+                    pattern = build(a, reach)
+                    for part in ("rows", "cols", "values"):
+                        out[f"lab/tree{n}.{i}/{kind}{reach}.{part}"] = getattr(pattern, part)
         row = verify_tree_bounds(n, h=1)
         ratios = (row.worst_topk, row.worst_asap, row.starlike_topk, row.starlike_asap)
         out[f"lab/bounds{n}.h1.numerators"] = np.array([r.numerator for r in ratios])
